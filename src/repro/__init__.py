@@ -21,7 +21,7 @@ Quick start::
     context = build_context(DEFAULT_CONFIG, workload.enclosure_count)
     workload.install(context)
     result = TraceReplayer(context, EnergyEfficientPolicy()).run(
-        workload.records, duration=workload.duration
+        workload.columnar(), duration=workload.duration
     )
     print(result.power.enclosure_watts, result.mean_response)
 

@@ -26,7 +26,7 @@ from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.migration import MigrationEngine
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import LogicalIORecord, PhysicalIORecord
+from repro.trace.records import IOType
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,20 @@ class ZonedPolicy(PowerPolicy):
         context = self._require_context()
         inner_tap = context.storage_monitor.on_physical
 
-        def fan_out(record: PhysicalIORecord) -> None:
-            inner_tap(record)
+        def fan_out(
+            timestamp: float,
+            enclosure: str,
+            block: int,
+            count: int,
+            io_type: IOType,
+            item_id: str | None,
+        ) -> None:
+            inner_tap(timestamp, enclosure, block, count, io_type, item_id)
             for zone in self.zones:
-                if record.enclosure in zone.enclosures:
-                    zone.policy.context.storage_monitor.on_physical(record)
+                if enclosure in zone.enclosures:
+                    zone.policy.context.storage_monitor.on_physical(
+                        timestamp, enclosure, block, count, io_type, item_id
+                    )
                     break
 
         context.controller.set_physical_tap(fan_out)
@@ -226,13 +235,23 @@ class ZonedPolicy(PowerPolicy):
         )
         return applied or None
 
-    def after_io(self, record: LogicalIORecord, response_time: float) -> None:
-        """Route the I/O record to the owning zone's policy."""
-        zone = self._zone_of(record.item_id)
+    def after_io(
+        self,
+        timestamp: float,
+        item_id: str,
+        offset: int,
+        size: int,
+        is_read: bool,
+        sequential: bool,
+        response_time: float,
+    ) -> None:
+        """Route the I/O to the owning zone's monitor and policy."""
+        zone = self._zone_of(item_id)
         if zone is None:
             return
-        zone.policy.context.app_monitor.record(record, response_time)
-        zone.policy.after_io(record, response_time)
+        fields = (timestamp, item_id, offset, size, is_read, sequential)
+        zone.policy.context.app_monitor.record(*fields, response_time)
+        zone.policy.after_io(*fields, response_time)
         self.determinations = sum(
             z.policy.determinations for z in self.zones
         )

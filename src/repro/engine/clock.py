@@ -18,10 +18,14 @@ and rearm convention identical everywhere.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ReplayError, ValidationError
 from repro.units import Seconds
 
 __all__ = ["SimClock", "Throttle"]
+
+_INF = math.inf
 
 
 class SimClock:
@@ -46,12 +50,16 @@ class SimClock:
 
         Raises :class:`~repro.errors.ReplayError` if ``to`` lies in the
         past — virtual time never rewinds; an event or record arriving
-        out of order is a bug at the source, not something to clamp.
+        out of order is a bug at the source, not something to clamp —
+        or is not finite (``nan`` compares false both ways and would
+        slip past the ordering check).
         """
-        if to < self._now:
-            raise ReplayError(
-                f"virtual time moved backwards: {to} after {self._now}"
-            )
+        if not self._now <= to < _INF:
+            if to < self._now:
+                raise ReplayError(
+                    f"virtual time moved backwards: {to} after {self._now}"
+                )
+            raise ReplayError(f"virtual time must be finite, got {to!r}")
         self._now = to
         return to
 

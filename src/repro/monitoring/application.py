@@ -14,8 +14,10 @@ were measured using the application monitor in the trace replay tool",
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import UsageError
 from repro.monitoring.repository import TraceRepository
@@ -28,8 +30,11 @@ class WindowColumns:
     The Application Monitor buffers the current window here instead of
     as a list of record objects: the classification pass
     (:func:`repro.core.patterns.build_profiles`) consumes plain columns,
-    so neither pump mode has to materialize
-    :class:`~repro.trace.records.LogicalIORecord` objects per window.
+    so no :class:`~repro.trace.records.LogicalIORecord` objects are
+    materialized per window.  The numeric columns are typed arrays:
+    the replay pump hands every I/O over as fresh scalars, and a window
+    that is never reset (policies without monitoring periods) would
+    otherwise keep one Python object per field per I/O for the run.
     """
 
     __slots__ = (
@@ -42,10 +47,10 @@ class WindowColumns:
     )
 
     def __init__(self) -> None:
-        self.timestamps: list[float] = []
+        self.timestamps: array[float] = array("d")
         self.item_ids: list[str] = []
-        self.offsets: list[int] = []
-        self.sizes: list[int] = []
+        self.offsets: array[int] = array("q")
+        self.sizes: array[int] = array("q")
         self.reads: list[bool] = []
         self.sequentials: list[bool] = []
 
@@ -71,14 +76,16 @@ class WindowColumns:
 
     def clear(self) -> None:
         """Drop all buffered I/Os."""
-        self.timestamps.clear()
+        del self.timestamps[:]
         self.item_ids.clear()
-        self.offsets.clear()
-        self.sizes.clear()
+        del self.offsets[:]
+        del self.sizes[:]
         self.reads.clear()
         self.sequentials.clear()
 
-    def profile_arrays(self) -> tuple[list[float], list[str], list[int], list[bool]]:
+    def profile_arrays(
+        self,
+    ) -> tuple[Sequence[float], Sequence[str], Sequence[int], Sequence[bool]]:
         """The ``(timestamps, item ids, sizes, reads)`` columns that the
         access-pattern classifier consumes (same shape as
         :meth:`repro.trace.columnar.ColumnarTrace.profile_arrays`)."""
@@ -178,23 +185,7 @@ class ApplicationMonitor:
     # ------------------------------------------------------------------
     # logical I/O trace
     # ------------------------------------------------------------------
-    def record(self, record: LogicalIORecord, response_time: float) -> None:
-        """Capture one application I/O and its measured response."""
-        if self._keep_full_trace:
-            self._full_trace.append(record)
-        if self.repository is not None:
-            self.repository.append(record)
-        self._capture(
-            record.timestamp,
-            record.item_id,
-            record.offset,
-            record.size,
-            record.io_type is IOType.READ,
-            record.sequential,
-            response_time,
-        )
-
-    def record_fast(
+    def record(
         self,
         timestamp: float,
         item_id: str,
@@ -204,57 +195,24 @@ class ApplicationMonitor:
         sequential: bool,
         response_time: float,
     ) -> None:
-        """Capture one application I/O given as plain fields.
+        """Capture one application I/O and its measured response.
 
-        The batched replay pump's entry point: identical statistics to
-        :meth:`record` without constructing a record object.  When full
-        tracing or a repository needs real records, the call falls back
-        to :meth:`record` with a materialized one.
+        A :class:`~repro.trace.records.LogicalIORecord` is built only
+        when full-trace retention or a repository stores one.
         """
         if self._keep_full_trace or self.repository is not None:
-            self.record(
-                LogicalIORecord(
-                    timestamp=timestamp,
-                    item_id=item_id,
-                    offset=offset,
-                    size=size,
-                    io_type=IOType.READ if is_read else IOType.WRITE,
-                    sequential=sequential,
-                ),
-                response_time,
+            record = LogicalIORecord(
+                timestamp=timestamp,
+                item_id=item_id,
+                offset=offset,
+                size=size,
+                io_type=IOType.READ if is_read else IOType.WRITE,
+                sequential=sequential,
             )
-            return
-        # _capture and the window append, unrolled: one call per logical
-        # I/O on the batched hot path, so the two extra frames are
-        # measurable.  Keep in lockstep with :meth:`_capture` and
-        # :meth:`WindowColumns.append`.
-        window = self._window
-        window.timestamps.append(timestamp)
-        window.item_ids.append(item_id)
-        window.offsets.append(offset)
-        window.sizes.append(size)
-        window.reads.append(is_read)
-        window.sequentials.append(sequential)
-        self.io_count += 1
-        self.response_sum += response_time
-        self.response_samples.append((timestamp, response_time, is_read))
-        if response_time > self.max_response:
-            self.max_response = response_time
-        if is_read:
-            self.read_count += 1
-            self.read_response_sum += response_time
-        self.ios_per_item[item_id] += 1
-
-    def _capture(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-        response_time: float,
-    ) -> None:
+            if self._keep_full_trace:
+                self._full_trace.append(record)
+            if self.repository is not None:
+                self.repository.append(record)
         self._window.append(timestamp, item_id, offset, size, is_read, sequential)
         self.io_count += 1
         self.response_sum += response_time
@@ -333,10 +291,10 @@ class ApplicationMonitor:
     def restore_state(self, state: dict) -> None:
         """Restore the monitor exactly as :meth:`snapshot_state` captured it."""
         window = state["window"]
-        self._window.timestamps = list(window["timestamps"])
+        self._window.timestamps = array("d", window["timestamps"])
         self._window.item_ids = list(window["item_ids"])
-        self._window.offsets = list(window["offsets"])
-        self._window.sizes = list(window["sizes"])
+        self._window.offsets = array("q", window["offsets"])
+        self._window.sizes = array("q", window["sizes"])
         self._window.reads = list(window["reads"])
         self._window.sequentials = list(window["sequentials"])
         self._window_start = state["window_start"]

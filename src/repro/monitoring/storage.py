@@ -69,15 +69,7 @@ class StorageMonitor:
     # ------------------------------------------------------------------
     # physical I/O trace
     # ------------------------------------------------------------------
-    def on_physical(self, record: PhysicalIORecord) -> None:
-        """Physical-tap callback from the storage controller."""
-        if self.repository is not None:
-            self.repository.append(record)
-        self._note_physical(
-            record.timestamp, record.enclosure, record.count, record.is_read
-        )
-
-    def on_physical_fast(
+    def on_physical(
         self,
         timestamp: float,
         enclosure: str,
@@ -86,11 +78,10 @@ class StorageMonitor:
         io_type: IOType,
         item_id: str | None,
     ) -> None:
-        """Scalar physical-tap callback for the batched hot path.
+        """Physical-tap callback from the storage controller.
 
-        Same statistics as :meth:`on_physical`; a
-        :class:`~repro.trace.records.PhysicalIORecord` is materialized
-        only when a repository actually stores the trace.
+        A :class:`~repro.trace.records.PhysicalIORecord` is built only
+        when a repository stores the trace.
         """
         if self.repository is not None:
             self.repository.append(
@@ -103,8 +94,6 @@ class StorageMonitor:
                     item_id=item_id,
                 )
             )
-        # _note_physical, unrolled: this callback fires once per physical
-        # I/O on the batched hot path, so the extra frame is measurable.
         self.physical_io_count += count
         self._window_counts[enclosure] += count
         if io_type is IOType.READ:
@@ -117,22 +106,6 @@ class StorageMonitor:
             elif gap > 0:
                 self._short_gap_total[enclosure] += gap
         self._last_io[enclosure] = timestamp
-
-    def _note_physical(
-        self, timestamp: float, name: str, count: int, is_read: bool
-    ) -> None:
-        self.physical_io_count += count
-        self._window_counts[name] += count
-        if is_read:
-            self._window_reads[name] += count
-        prev = self._last_io.get(name)
-        if prev is not None:
-            gap = timestamp - prev
-            if gap >= self.MIN_RETAINED_GAP:
-                self._gaps[name].append(gap)
-            elif gap > 0:
-                self._short_gap_total[name] += gap
-        self._last_io[name] = timestamp
 
     def begin_window(self, now: float) -> None:
         """Reset per-window counters and mark the window start."""

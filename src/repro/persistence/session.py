@@ -36,13 +36,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.config import DEFAULT_CONFIG
-from repro.engine.kernel import ReplayOutcome, SimulationKernel
+from repro.engine.kernel import SimulationKernel
 from repro.errors import SnapshotError, ValidationError
 from repro.faults.plan import FaultPlan
-from repro.faults.report import availability_from_context
 from repro.monitoring.timeline import PowerTimeline
 from repro.persistence.format import snapshot_filename, write_snapshot
-from repro.trace.replay import ReplayResult
+from repro.trace.replay import ReplayResult, assemble_result
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.devtools.audit import InvariantAuditor
@@ -74,7 +73,6 @@ class RunSpec:
     full: bool = False
     seed: int = 0
     audit: bool = False
-    columnar: bool = False
     timeline_interval: float | None = None
     faults_json: str | None = None
     #: Fleet coordinates (:mod:`repro.fleet`): this session replays
@@ -122,8 +120,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec serialized by :meth:`to_dict`."""
-        return cls(**data)
+        """Rebuild a spec serialized by :meth:`to_dict`.
+
+        Specs written while the replay pump was selectable carry a
+        ``columnar`` key; both of its values replay through the one
+        pump now, so the key is dropped.
+        """
+        fields = dict(data)
+        fields.pop("columnar", None)
+        return cls(**fields)
 
 
 class SnapshotSession:
@@ -182,13 +187,6 @@ class SnapshotSession:
             self.auditor = InvariantAuditor(self.context)
             self.auditor.hook(self.kernel)
         self.snapshots_written = 0
-
-    @property
-    def records(self) -> object:
-        """The trace to pump: columnar or record objects, per the spec."""
-        if self.spec.columnar:
-            return self.workload.columnar()
-        return self.workload.records
 
     # ------------------------------------------------------------------
     # capture
@@ -271,9 +269,9 @@ class SnapshotSession:
         if hook is not None:
             self.kernel.set_record_hook(hook)
         outcome = self.kernel.replay(
-            self.records, duration=self.workload.duration
+            self.workload.columnar(), duration=self.workload.duration
         )
-        return self._assemble(outcome)
+        return assemble_result(self.context, self.policy, outcome)
 
     def resume(self, payload: dict) -> ReplayResult:
         """Restore a verified snapshot payload and finish the replay.
@@ -332,12 +330,12 @@ class SnapshotSession:
         if self.auditor is not None:
             self.auditor.restore_state(self._state(states, "auditor"))
         outcome = self.kernel.resume_replay(
-            self.records,
+            self.workload.columnar(),
             self.workload.duration,
             meta["count"],
             meta["ts"],
         )
-        return self._assemble(outcome)
+        return assemble_result(self.context, self.policy, outcome)
 
     @staticmethod
     def _state(states: dict, key: str) -> dict:
@@ -346,40 +344,3 @@ class SnapshotSession:
                 f"snapshot is missing component state {key!r}"
             )
         return states[key]
-
-    # ------------------------------------------------------------------
-    # result assembly — must stay in lockstep with TraceReplayer.run
-    # ------------------------------------------------------------------
-    def _assemble(self, outcome: ReplayOutcome) -> ReplayResult:
-        """Package the context's monitors into a :class:`ReplayResult`.
-
-        Field-for-field the tail of
-        :meth:`repro.trace.replay.TraceReplayer.run` — the crash
-        harness compares these results to ones produced by the replayer
-        path, so the two assemblies must not drift.
-        """
-        context = self.context
-        policy = self.policy
-        final = outcome.final
-        controller = context.controller
-        power = context.meter.read(final, controller)
-        availability = availability_from_context(context, policy, final)
-        result = ReplayResult(
-            policy_name=policy.name,
-            duration_seconds=final,
-            io_count=outcome.io_count,
-            response=context.app_monitor.response_stats(),
-            power=power,
-            migrated_bytes=controller.migrated_bytes,
-            migration_count=controller.migration_count,
-            determinations=policy.determinations,
-            cache_hit_ratio=controller.cache_hit_ratio,
-            spin_up_count=sum(e.spin_up_count for e in context.enclosures),
-            spin_down_count=sum(e.spin_down_count for e in context.enclosures),
-            availability=availability,
-        )
-        if context.executor is not None:
-            object.__setattr__(
-                result, "actions", tuple(context.executor.log)
-            )
-        return result

@@ -11,7 +11,8 @@ so their energy and response-time costs are charged, exactly as the
 paper's measurements include them (§VII-A.4).
 
 Physical I/O is reported to an optional tap (the Storage Monitor
-subscribes there) as :class:`~repro.trace.records.PhysicalIORecord`.
+subscribes there) as plain fields; the subscriber decides whether a
+:class:`~repro.trace.records.PhysicalIORecord` needs to exist.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.storage import cache as cache_mod
 from repro.storage.cache import StorageCache
 from repro.storage.enclosure import DiskEnclosure, IOResult
 from repro.storage.virtualization import BlockVirtualization
-from repro.trace.records import IOType, LogicalIORecord, PhysicalIORecord
+from repro.trace.records import IOType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.clock import FaultClock
@@ -52,13 +53,9 @@ BULK_BANDWIDTH_BPS = 150.0 * units.MB
 MIGRATION_CHUNK_BYTES = 64 * units.MB
 
 
-PhysicalTap = Callable[[PhysicalIORecord], None]
-
-#: Scalar variant of the physical tap used on the batched hot path:
-#: ``(timestamp, enclosure name, block, count, io_type, item_id)``.  A
-#: subscriber that installs one receives plain fields and decides for
-#: itself whether a :class:`PhysicalIORecord` needs to exist.
-PhysicalTapFast = Callable[[float, str, int, int, IOType, "str | None"], None]
+#: Physical-I/O listener: ``(timestamp, enclosure name, block, count,
+#: io_type, item_id)``.
+PhysicalTap = Callable[[float, str, int, int, IOType, "str | None"], None]
 
 
 class StorageController:
@@ -88,7 +85,6 @@ class StorageController:
         self.migration_throughput_bps = migration_throughput_bps
         self.bulk_bandwidth_bps = bulk_bandwidth_bps
         self._physical_tap = physical_tap
-        self._physical_tap_fast: PhysicalTapFast | None = None
         self.retry_backoff_base = retry_backoff_base
         self.retry_backoff_cap = retry_backoff_cap
 
@@ -149,24 +145,8 @@ class StorageController:
     # plumbing
     # ------------------------------------------------------------------
     def set_physical_tap(self, tap: PhysicalTap | None) -> None:
-        """Attach the storage monitor's physical-trace listener.
-
-        Installing a record-level tap clears any scalar fast tap so a
-        custom listener observes every physical I/O as a record, exactly
-        as before the batched path existed.
-        """
+        """Attach the storage monitor's physical-I/O listener."""
         self._physical_tap = tap
-        self._physical_tap_fast = None
-
-    def set_physical_tap_fast(self, tap: PhysicalTapFast | None) -> None:
-        """Attach a scalar physical-I/O listener for the batched path.
-
-        Takes precedence over the record tap: when set, physical I/O is
-        reported as plain fields and no :class:`PhysicalIORecord` is
-        constructed here — the subscriber materializes one only if it
-        actually stores full traces.
-        """
-        self._physical_tap_fast = tap
 
     def set_fault_clock(self, clock: "FaultClock") -> None:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
@@ -346,23 +326,9 @@ class StorageController:
         io_type: IOType,
         item_id: str | None,
     ) -> None:
-        if self._physical_tap_fast is not None:
-            self._physical_tap_fast(
-                timestamp, enclosure, block, count, io_type, item_id
-            )
-            return
-        if self._physical_tap is None:
-            return
-        self._physical_tap(
-            PhysicalIORecord(
-                timestamp=timestamp,
-                enclosure=enclosure,
-                block_address=block,
-                count=count,
-                io_type=io_type,
-                item_id=item_id,
-            )
-        )
+        tap = self._physical_tap
+        if tap is not None:
+            tap(timestamp, enclosure, block, count, io_type, item_id)
 
     def _physical_io(
         self,
@@ -417,7 +383,15 @@ class StorageController:
     # ------------------------------------------------------------------
     # application I/O path
     # ------------------------------------------------------------------
-    def submit(self, record: LogicalIORecord) -> Seconds:
+    def submit(
+        self,
+        timestamp: float,
+        item_id: str,
+        offset: int,
+        size: int,
+        is_read: bool,
+        sequential: bool,
+    ) -> Seconds:
         """Serve one application I/O; returns its response time in seconds.
 
         Reads are served from cache when possible (preloaded items always
@@ -427,50 +401,15 @@ class StorageController:
         enclosure.  The battery-backed cache makes absorbed writes durable,
         so their response is the cache latency (paper §II-E.2).
 
-        Fault-free runs take :meth:`submit_fast` (same decisions, scalar
-        arguments); fault injection keeps the record-level slow path.
+        With a fault clock attached the same decisions also advance the
+        fault bookkeeping, may absorb a write into the emergency buffer,
+        and route the physical I/O through the retry path; fault-free
+        runs skip all three.
         """
-        if self._fault_clock is None:
-            return self.submit_fast(
-                record.timestamp,
-                record.item_id,
-                record.offset,
-                record.size,
-                record.io_type is IOType.READ,
-                record.sequential,
-            )
-        return self._submit_slow(record)
-
-    def submit_fast(
-        self,
-        timestamp: float,
-        item_id: str,
-        offset: int,
-        size: int,
-        is_read: bool,
-        sequential: bool,
-    ) -> Seconds:
-        """Serve one application I/O given as plain fields.
-
-        The batched replay pump's entry point: no
-        :class:`~repro.trace.records.LogicalIORecord` is required.  The
-        decisions and arithmetic mirror :meth:`submit` operation for
-        operation (the golden bit-identity test holds both to the same
-        timeline); with a fault clock attached the call materializes a
-        record and defers to the slow path.
-        """
-        if self._fault_clock is not None:
-            return self._submit_slow(
-                LogicalIORecord(
-                    timestamp=timestamp,
-                    item_id=item_id,
-                    offset=offset,
-                    size=size,
-                    io_type=IOType.READ if is_read else IOType.WRITE,
-                    sequential=sequential,
-                )
-            )
         self.logical_io_count += 1
+        fault_clock = self._fault_clock
+        if fault_clock is not None:
+            self.on_time(timestamp)
         virtualization = self.virtualization
         if not virtualization.has_item(item_id):
             raise MappingError(f"I/O to unplaced data item {item_id!r}")
@@ -499,10 +438,18 @@ class StorageController:
                 if needs_flush:
                     self.flush_write_delay(timestamp)
                 return CACHE_HIT_LATENCY
+            if fault_clock is not None and self._emergency_buffer_write(
+                timestamp, item_id, range(first_page, last_page + 1)
+            ):
+                return CACHE_HIT_LATENCY
             io_type = IOType.WRITE
 
+        if fault_clock is not None:
+            return self._physical_io(
+                timestamp, item_id, offset, io_type, sequential
+            )
         # Fault-free single physical I/O via the cached route, with the
-        # tap dispatch of :meth:`_emit_physical` unrolled — this is the
+        # tap call of :meth:`_emit_physical` inlined — this is the
         # hottest call chain of the whole replay, so every frame counts.
         enclosure, name, base_block, item_size = virtualization.route(item_id)
         if offset < 0 or offset >= item_size:
@@ -510,18 +457,9 @@ class StorageController:
                 f"offset {offset} outside item {item_id!r} of size {item_size}"
             )
         response = enclosure.submit_one(timestamp, is_read, sequential)
-        tap_fast = self._physical_tap_fast
-        if tap_fast is not None:
-            tap_fast(
-                timestamp,
-                name,
-                base_block + offset // units.BLOCK_SIZE,
-                1,
-                io_type,
-                item_id,
-            )
-        elif self._physical_tap is not None:
-            self._emit_physical(
+        tap = self._physical_tap
+        if tap is not None:
+            tap(
                 timestamp,
                 name,
                 base_block + offset // units.BLOCK_SIZE,
@@ -533,81 +471,33 @@ class StorageController:
             self._note_tier_service(name, item_id, response)
         return response
 
-    def _submit_slow(self, record: LogicalIORecord) -> Seconds:
-        """Record-level I/O path; the only one fault injection takes."""
-        self.logical_io_count += 1
-        self.on_time(record.timestamp)
-        item_id = record.item_id
-        if not self.virtualization.has_item(item_id):
-            raise MappingError(f"I/O to unplaced data item {item_id!r}")
-
-        if record.is_read:
-            # Evaluate every page (no short-circuit) so each one enters
-            # the LRU; the I/O is a hit only if all of them already were.
-            hits = [
-                self.cache.read_hit(item_id, page)
-                for page in record.page_range(cache_mod.PAGE_BYTES)
-            ]
-            if all(hits):
-                self.cache_hit_count += 1
-                return CACHE_HIT_LATENCY
-            return self._physical_io(
-                record.timestamp,
-                item_id,
-                record.offset,
-                IOType.READ,
-                record.sequential,
-            )
-
-        if self.cache.write_delay.is_selected(item_id):
-            self.cache_hit_count += 1
-            needs_flush = False
-            for page in record.page_range(cache_mod.PAGE_BYTES):
-                if self.cache.write_delay.absorb_write(item_id, page):
-                    needs_flush = True
-            if needs_flush:
-                self.flush_write_delay(record.timestamp)
-            return CACHE_HIT_LATENCY
-
-        if self._fault_clock is not None:
-            buffered = self._emergency_buffer_write(record)
-            if buffered is not None:
-                return buffered
-
-        return self._physical_io(
-            record.timestamp,
-            item_id,
-            record.offset,
-            IOType.WRITE,
-            record.sequential,
-        )
-
-    def _emergency_buffer_write(self, record: LogicalIORecord) -> Seconds | None:
+    def _emergency_buffer_write(
+        self, now: Seconds, item_id: str, pages: range
+    ) -> bool:
         """Absorb a write whose home enclosure is out into the cache.
 
         While an enclosure is inside an injected outage window, the
         battery-backed write-delay partition doubles as an emergency
         buffer: the write is acknowledged at cache latency and its dirty
-        pages drain once the outage ends.  Returns ``None`` when the
+        pages drain once the outage ends.  Returns ``False`` when the
         buffer cannot be used (battery gone, no outage, partition full)
         and the write must take the physical path instead.
         """
         if self._battery_failed:
-            return None
-        enclosure = self.virtualization.enclosure_of(record.item_id)
-        if self._fault_clock.outage_at(enclosure.name, record.timestamp) is None:
-            return None
+            return False
+        enclosure = self.virtualization.enclosure_of(item_id)
+        if self._fault_clock.outage_at(enclosure.name, now) is None:
+            return False
         wd = self.cache.write_delay
-        pages = list(record.page_range(cache_mod.PAGE_BYTES))
         if wd.dirty_pages + len(pages) > wd.capacity_pages:
-            return None
-        wd.select(record.item_id)
-        self._emergency_items.add(record.item_id)
+            return False
+        wd.select(item_id)
+        self._emergency_items.add(item_id)
         for page in pages:
-            wd.absorb_write(record.item_id, page)
+            wd.absorb_write(item_id, page)
         self.cache_hit_count += 1
         self.emergency_buffered_ios += 1
-        return CACHE_HIT_LATENCY
+        return True
 
     # ------------------------------------------------------------------
     # power-saving primitives (paper §V)

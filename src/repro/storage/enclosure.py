@@ -274,7 +274,7 @@ class DiskEnclosure:
         # The ACTIVE and IDLE branches inline :meth:`_accrue` (including
         # its negative-duration audit): they run a couple of times per
         # served I/O, and the dict/attribute traffic through hoisted
-        # locals is what keeps the batched pump's frame count down.
+        # locals is what keeps the replay pump's frame count down.
         energy = self._energy_by_state
         time_in = self._time_by_state
         watts = self._watts_by_state
@@ -446,7 +446,7 @@ class DiskEnclosure:
         """Serve a single I/O; returns its mean response time in seconds.
 
         The allocation-free specialization of :meth:`submit` for
-        ``count=1`` that the batched replay pump drives: no
+        ``count=1`` that the replay pump drives: no
         :class:`IOResult` is built, and the no-fault run skips the
         outage/spin-up-failure machinery entirely.  Kept
         operation-for-operation float-identical to

@@ -295,7 +295,7 @@ class BlockVirtualization:
         """Resolve an item to ``(enclosure, name, base block, size bytes)``.
 
         The hot-path companion of :meth:`resolve`/:meth:`enclosure_of`:
-        the batched replay pump calls this once per I/O, so the answer is
+        the replay pump calls this once per I/O, so the answer is
         cached until :meth:`add_item`/:meth:`remove_item`/:meth:`move_item`
         changes the mapping.  Raises :class:`MappingError` for unplaced
         items, exactly as the uncached accessors do.

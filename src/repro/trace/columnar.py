@@ -11,9 +11,9 @@ parallel primitive columns —
 * ``offsets`` / ``sizes`` — int64 (``array('q')``),
 * ``flags`` — one byte per record (:data:`FLAG_READ` | :data:`FLAG_SEQUENTIAL`)
 
-— built once from any record iterable.  The simulation kernel's batch
-pump (:meth:`repro.engine.kernel.SimulationKernel.replay`) consumes the
-columns directly, and everything that still wants record objects can
+— built once from any record iterable.  It is the only input the
+simulation kernel's pump (:meth:`repro.engine.kernel.SimulationKernel.replay`)
+reads, and everything that still wants record objects can
 iterate the trace (iteration materializes records lazily), so a
 ``ColumnarTrace`` is a drop-in ``Sequence[LogicalIORecord]``.
 
@@ -27,6 +27,7 @@ columns.  ``ecostor trace pack`` converts CSV/MSR traces into it; see
 
 from __future__ import annotations
 
+import math
 import mmap as mmap_mod
 import struct
 from array import array
@@ -83,9 +84,11 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
 
     Immutable by convention: the columns are built once (by
     :meth:`from_records` or :meth:`load`) and only read afterwards.
+    Every construction path refuses a non-finite timestamp with
+    :class:`~repro.errors.TraceError`.
     Indexing and iteration materialize :class:`LogicalIORecord` objects
     on demand, so the trace is usable anywhere a record sequence is —
-    but the batch replay pump reads the columns directly and never
+    but the replay pump reads the columns directly and never
     materializes at all.
     """
 
@@ -113,6 +116,13 @@ class ColumnarTrace(Sequence[LogicalIORecord]):
                 "columnar trace requires equal-length columns, got "
                 f"ts={len(timestamps)}, item={len(item_index)}, "
                 f"offset={len(offsets)}, size={len(sizes)}, flags={len(flags)}"
+            )
+        if not all(map(math.isfinite, timestamps)):
+            bad = next(
+                i for i, ts in enumerate(timestamps) if not math.isfinite(ts)
+            )
+            raise TraceError(
+                f"record {bad} has a non-finite timestamp {timestamps[bad]!r}"
             )
         self.items = items
         self.timestamps = timestamps

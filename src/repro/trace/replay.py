@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.monitoring.timeline import PowerTimeline
 
 from repro.baselines.base import PowerPolicy
-from repro.engine.kernel import SimulationKernel
+from repro.engine.kernel import ReplayOutcome, SimulationKernel
 from repro.faults.report import AvailabilityReport, availability_from_context
 from repro.monitoring.application import ResponseStats
 from repro.simulation import SimulationContext
@@ -57,7 +57,7 @@ class ReplayResult:
 
     # Non-field attribute (class-level default, no annotation on
     # purpose — an annotation would make it a dataclass field; set
-    # per-instance via object.__setattr__ in TraceReplayer.run): the
+    # per-instance via object.__setattr__ in assemble_result): the
     # run's full action log, a tuple of
     # :class:`~repro.actions.records.ActionRecord`.  Kept out of
     # ``asdict``/``==`` — and with them the golden bit-identity test —
@@ -130,37 +130,47 @@ class TraceReplayer:
         :class:`~repro.errors.ReplayError` — as does a non-positive
         declared ``duration``.
 
-        Passing a :class:`~repro.trace.columnar.ColumnarTrace` engages
-        the kernel's batched pump — identical results (the golden test
-        pins bit-identity), several times the throughput.
+        The kernel pumps a :class:`~repro.trace.columnar.ColumnarTrace`
+        and packs any other record iterable into one first; pass a
+        workload's cached ``workload.columnar()`` to pack once per
+        workload instead of once per run.
         """
-        context = self.context
-        policy = self.policy
-        kernel = SimulationKernel(context, policy, timeline=self.timeline)
+        kernel = SimulationKernel(
+            self.context, self.policy, timeline=self.timeline
+        )
         if self.auditor is not None:
             self.auditor.hook(kernel)
         outcome = kernel.replay(records, duration=duration)
-        final = outcome.final
+        return assemble_result(self.context, self.policy, outcome)
 
-        controller = context.controller
-        power = context.meter.read(final, controller)
-        availability = availability_from_context(context, policy, final)
-        result = ReplayResult(
-            policy_name=policy.name,
-            duration_seconds=final,
-            io_count=outcome.io_count,
-            response=context.app_monitor.response_stats(),
-            power=power,
-            migrated_bytes=controller.migrated_bytes,
-            migration_count=controller.migration_count,
-            determinations=policy.determinations,
-            cache_hit_ratio=controller.cache_hit_ratio,
-            spin_up_count=sum(e.spin_up_count for e in context.enclosures),
-            spin_down_count=sum(e.spin_down_count for e in context.enclosures),
-            availability=availability,
-        )
-        if context.executor is not None:
-            object.__setattr__(
-                result, "actions", tuple(context.executor.log)
-            )
-        return result
+
+def assemble_result(
+    context: SimulationContext, policy: PowerPolicy, outcome: ReplayOutcome
+) -> ReplayResult:
+    """Package a settled run's monitors and books into a :class:`ReplayResult`.
+
+    The one result assembly: :meth:`TraceReplayer.run` and the snapshot
+    session's run and resume (:mod:`repro.persistence.session`) all end
+    here, so their results compare field for field.
+    """
+    final = outcome.final
+    controller = context.controller
+    power = context.meter.read(final, controller)
+    availability = availability_from_context(context, policy, final)
+    result = ReplayResult(
+        policy_name=policy.name,
+        duration_seconds=final,
+        io_count=outcome.io_count,
+        response=context.app_monitor.response_stats(),
+        power=power,
+        migrated_bytes=controller.migrated_bytes,
+        migration_count=controller.migration_count,
+        determinations=policy.determinations,
+        cache_hit_ratio=controller.cache_hit_ratio,
+        spin_up_count=sum(e.spin_up_count for e in context.enclosures),
+        spin_down_count=sum(e.spin_down_count for e in context.enclosures),
+        availability=availability,
+    )
+    if context.executor is not None:
+        object.__setattr__(result, "actions", tuple(context.executor.log))
+    return result

@@ -88,9 +88,10 @@ class Workload:
 
         Built once and cached on the instance; rebuilt if the record
         list was replaced or resized in the meantime.  Feed this to
-        :meth:`repro.trace.replay.TraceReplayer.run` for the batched
-        pump, or to :func:`repro.experiments.parallel.workload_fingerprint`
-        for an allocation-free cache key.
+        :meth:`repro.trace.replay.TraceReplayer.run` so the records are
+        packed once per workload rather than once per replay, or to
+        :func:`repro.experiments.parallel.workload_fingerprint` for an
+        allocation-free cache key.
         """
         cached = self.__dict__.get("_columnar_cache")
         if not isinstance(cached, ColumnarTrace) or len(cached) != len(

@@ -8,6 +8,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.replay import TraceReplayer
+from tests.io_fields import physical_fields
 
 
 def build_system(enclosures=3, item_size=4 * units.GB):
@@ -125,7 +126,7 @@ class TestDDRBehaviour:
         for _ in range(200):
             clock += 0.5
             monitor.on_physical(
-                PhysicalIORecord(clock, "enc-00", 0, 1, IOType.READ)
+                *physical_fields(PhysicalIORecord(clock, "enc-00", 0, 1, IOType.READ))
             )
             policy.on_checkpoint(clock)
         assert "enc-00" not in policy._cold

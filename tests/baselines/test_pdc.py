@@ -8,6 +8,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.replay import TraceReplayer
+from tests.io_fields import fields
 
 
 def build_system(items_per_enclosure=2, enclosures=3, size=10 * units.MB):
@@ -87,7 +88,7 @@ class TestPDCBehaviour:
         policy.bind(context)
         policy.on_start(0.0)
         policy.after_io(
-            LogicalIORecord(1.0, "item-0-0", 0, 4096, IOType.READ), 0.1
+            *fields(LogicalIORecord(1.0, "item-0-0", 0, 4096, IOType.READ)), 0.1
         )
         assert policy._popularity["item-0-0"] == 1
         policy.on_checkpoint(300.0)

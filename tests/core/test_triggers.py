@@ -6,6 +6,7 @@ from repro.core.triggers import PatternChangeTriggers
 from repro.monitoring.storage import StorageMonitor
 from repro.storage.enclosure import DiskEnclosure
 from repro.trace.records import IOType, PhysicalIORecord
+from tests.io_fields import physical_fields
 
 BE = 52.0
 
@@ -19,7 +20,7 @@ def setup(count=2):
 
 
 def touch(monitor, t, enclosure="e0"):
-    monitor.on_physical(PhysicalIORecord(t, enclosure, 0, 1, IOType.READ))
+    monitor.on_physical(*physical_fields(PhysicalIORecord(t, enclosure, 0, 1, IOType.READ)))
 
 
 class TestGuards:

@@ -27,6 +27,16 @@ class TestSimClock:
         with pytest.raises(ReplayError):
             clock.advance(9.0)
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_advance_to_non_finite_raises(self, bad):
+        clock = SimClock()
+        clock.advance(10.0)
+        with pytest.raises(ReplayError, match="finite"):
+            clock.advance(bad)
+        assert clock.now == 10.0
+
     def test_negative_start_rejected(self):
         with pytest.raises(ValidationError):
             SimClock(-1.0)

@@ -1,5 +1,8 @@
 """Tests for repro.engine.kernel — hooks, pairing, online operation."""
 
+import copy
+from dataclasses import asdict
+
 import pytest
 
 from repro import units
@@ -9,9 +12,13 @@ from repro.config import DEFAULT_CONFIG
 from repro.engine.events import TraceRecordEvent
 from repro.engine.kernel import SimulationKernel
 from repro.errors import ReplayError, UsageError
+from repro.experiments.runner import STANDARD_POLICIES
+from repro.experiments.testbed import build_workload
 from repro.faults.plan import CacheBatteryFailure, FaultPlan
+from repro.persistence import RunSpec, SnapshotSession
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
+from repro.trace.replay import TraceReplayer
 
 
 class PeriodicPolicy(PowerPolicy):
@@ -35,8 +42,10 @@ class PeriodicPolicy(PowerPolicy):
         self.checkpoints.append(now)
         self._next = now + self.period
 
-    def after_io(self, record, response_time):
-        self.io_seen.append(record.timestamp)
+    def after_io(
+        self, timestamp, item_id, offset, size, is_read, sequential, response_time
+    ):
+        self.io_seen.append(timestamp)
 
 
 def make_context(faults=None):
@@ -162,6 +171,58 @@ class TestReplayValidation:
         policy.bind(context)
         with pytest.raises(ReplayError):
             SimulationKernel(context, policy).replay([], duration=0.0)
+
+
+class TestPackAtEntry:
+    """Any record iterable is packed into columns once, at entry.
+
+    A one-shot generator must give exactly the result of the workload's
+    cached :class:`~repro.trace.columnar.ColumnarTrace`.
+    """
+
+    @pytest.mark.parametrize("policy_name", ["proposed", "ddr"])
+    def test_replay_generator_matches_columnar(self, policy_name):
+        workload = build_workload("tpcc", full=False)
+
+        def run(records):
+            context = build_context(DEFAULT_CONFIG, workload.enclosure_count)
+            workload.install(context)
+            policy = STANDARD_POLICIES[policy_name]()
+            result = TraceReplayer(context, policy).run(
+                records, duration=workload.duration
+            )
+            return asdict(result), result.actions
+
+        generated = run(record for record in workload.records)
+        assert generated == run(workload.columnar())
+
+    def test_resume_replay_generator_matches_columnar(self, monkeypatch):
+        spec = RunSpec(workload="tpcc", policy="proposed")
+        session = SnapshotSession(spec)
+        captured = {}
+
+        def hook(count, ts):
+            if count == 5000:
+                captured["payload"] = session.capture(count, ts)
+
+        session.run(record_hook=hook)
+        payload = captured["payload"]
+
+        expected = SnapshotSession(spec).resume(copy.deepcopy(payload))
+        generated_session = SnapshotSession(spec)
+        resume_replay = generated_session.kernel.resume_replay
+        monkeypatch.setattr(
+            generated_session.kernel,
+            "resume_replay",
+            lambda records, *args: resume_replay(
+                (record for record in records), *args
+            ),
+        )
+        resumed = generated_session.resume(copy.deepcopy(payload))
+        assert (asdict(resumed), resumed.actions) == (
+            asdict(expected),
+            expected.actions,
+        )
 
 
 class TestFinishedKernelMisuse:

@@ -9,6 +9,7 @@ from repro.trace.records import (
     LogicalIORecord,
     PhysicalIORecord,
 )
+from tests.io_fields import fields, physical_fields
 
 
 def logical(t):
@@ -23,16 +24,16 @@ class TestApplicationMonitorRepository:
     def test_records_flow_into_repository(self, tmp_path):
         repo = TraceRepository(LogicalIORecord, spill_dir=tmp_path)
         monitor = ApplicationMonitor(repository=repo)
-        monitor.record(logical(1.0), 0.1)
-        monitor.record(logical(2.0), 0.1)
+        monitor.record(*fields(logical(1.0)), 0.1)
+        monitor.record(*fields(logical(2.0)), 0.1)
         assert len(repo) == 2
 
     def test_repository_survives_window_resets(self, tmp_path):
         repo = TraceRepository(LogicalIORecord, spill_dir=tmp_path)
         monitor = ApplicationMonitor(repository=repo)
-        monitor.record(logical(1.0), 0.1)
+        monitor.record(*fields(logical(1.0)), 0.1)
         monitor.begin_window(10.0)
-        monitor.record(logical(11.0), 0.1)
+        monitor.record(*fields(logical(11.0)), 0.1)
         assert [r.timestamp for r in repo] == [1.0, 11.0]
 
     def test_spill_behaviour_preserved(self, tmp_path):
@@ -41,13 +42,13 @@ class TestApplicationMonitorRepository:
         )
         monitor = ApplicationMonitor(repository=repo)
         for t in range(6):
-            monitor.record(logical(float(t)), 0.1)
+            monitor.record(*fields(logical(float(t))), 0.1)
         assert len(repo) == 6
         assert len(list(tmp_path.glob("spill-*.csv"))) == 1
 
     def test_no_repository_is_fine(self):
         monitor = ApplicationMonitor()
-        monitor.record(logical(1.0), 0.1)
+        monitor.record(*fields(logical(1.0)), 0.1)
         assert monitor.io_count == 1
 
 
@@ -55,14 +56,14 @@ class TestStorageMonitorRepository:
     def test_physical_records_flow_into_repository(self, tmp_path):
         repo = TraceRepository(PhysicalIORecord, spill_dir=tmp_path)
         monitor = StorageMonitor([DiskEnclosure("e0")], repository=repo)
-        monitor.on_physical(physical(1.0))
-        monitor.on_physical(physical(2.0))
+        monitor.on_physical(*physical_fields(physical(1.0)))
+        monitor.on_physical(*physical_fields(physical(2.0)))
         assert len(repo) == 2
         assert all(isinstance(r, PhysicalIORecord) for r in repo)
 
     def test_interval_tracking_unaffected(self, tmp_path):
         repo = TraceRepository(PhysicalIORecord, spill_dir=tmp_path)
         monitor = StorageMonitor([DiskEnclosure("e0")], repository=repo)
-        monitor.on_physical(physical(0.0))
-        monitor.on_physical(physical(100.0))
+        monitor.on_physical(*physical_fields(physical(0.0)))
+        monitor.on_physical(*physical_fields(physical(100.0)))
         assert monitor.intervals("e0") == [100.0]

@@ -5,6 +5,7 @@ import pytest
 from repro.monitoring.storage import StorageMonitor
 from repro.storage.enclosure import DiskEnclosure
 from repro.trace.records import IOType, PhysicalIORecord
+from tests.io_fields import physical_fields
 
 
 def monitor(count=2):
@@ -19,15 +20,15 @@ def phys(t, enclosure="e0", count=1, kind=IOType.READ):
 class TestPhysicalTrace:
     def test_counts_accumulate(self):
         mon, _ = monitor()
-        mon.on_physical(phys(1.0))
-        mon.on_physical(phys(2.0, count=3))
+        mon.on_physical(*physical_fields(phys(1.0)))
+        mon.on_physical(*physical_fields(phys(2.0, count=3)))
         assert mon.physical_io_count == 4
 
     def test_window_stats(self):
         mon, _ = monitor()
         mon.begin_window(0.0)
-        mon.on_physical(phys(1.0, "e0"))
-        mon.on_physical(phys(2.0, "e0", kind=IOType.WRITE))
+        mon.on_physical(*physical_fields(phys(1.0, "e0")))
+        mon.on_physical(*physical_fields(phys(2.0, "e0", kind=IOType.WRITE)))
         stats = mon.window_stats(10.0)
         assert stats["e0"].io_count == 2
         assert stats["e0"].read_count == 1
@@ -36,7 +37,7 @@ class TestPhysicalTrace:
 
     def test_begin_window_resets_counts(self):
         mon, _ = monitor()
-        mon.on_physical(phys(1.0))
+        mon.on_physical(*physical_fields(phys(1.0)))
         mon.begin_window(5.0)
         stats = mon.window_stats(10.0)
         assert stats["e0"].io_count == 0
@@ -50,26 +51,26 @@ class TestPhysicalTrace:
 class TestIntervals:
     def test_gaps_recorded(self):
         mon, _ = monitor()
-        mon.on_physical(phys(0.0))
-        mon.on_physical(phys(10.0))
-        mon.on_physical(phys(70.0))
+        mon.on_physical(*physical_fields(phys(0.0)))
+        mon.on_physical(*physical_fields(phys(10.0)))
+        mon.on_physical(*physical_fields(phys(70.0)))
         assert mon.intervals("e0") == [10.0, 60.0]
 
     def test_tiny_gaps_not_retained(self):
         mon, _ = monitor()
-        mon.on_physical(phys(0.0))
-        mon.on_physical(phys(0.01))
+        mon.on_physical(*physical_fields(phys(0.0)))
+        mon.on_physical(*physical_fields(phys(0.01)))
         assert mon.intervals("e0") == []
 
     def test_finish_closes_final_gap(self):
         mon, _ = monitor()
-        mon.on_physical(phys(10.0))
+        mon.on_physical(*physical_fields(phys(10.0)))
         mon.finish(100.0)
         assert 90.0 in mon.intervals("e0")
 
     def test_finish_idempotent(self):
         mon, _ = monitor()
-        mon.on_physical(phys(10.0))
+        mon.on_physical(*physical_fields(phys(10.0)))
         mon.finish(100.0)
         mon.finish(200.0)
         assert mon.intervals("e0").count(90.0) == 1
@@ -81,10 +82,10 @@ class TestIntervals:
 
     def test_all_intervals_merges(self):
         mon, _ = monitor()
-        mon.on_physical(phys(0.0, "e0"))
-        mon.on_physical(phys(5.0, "e0"))
-        mon.on_physical(phys(0.0, "e1"))
-        mon.on_physical(phys(7.0, "e1"))
+        mon.on_physical(*physical_fields(phys(0.0, "e0")))
+        mon.on_physical(*physical_fields(phys(5.0, "e0")))
+        mon.on_physical(*physical_fields(phys(0.0, "e1")))
+        mon.on_physical(*physical_fields(phys(7.0, "e1")))
         assert sorted(mon.all_intervals()) == [5.0, 7.0]
 
     def test_unknown_enclosure_rejected(self):
@@ -95,7 +96,7 @@ class TestIntervals:
     def test_last_io_time(self):
         mon, _ = monitor()
         assert mon.last_io_time("e0") is None
-        mon.on_physical(phys(42.0))
+        mon.on_physical(*physical_fields(phys(42.0)))
         assert mon.last_io_time("e0") == 42.0
 
 

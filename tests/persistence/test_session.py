@@ -95,7 +95,6 @@ class TestResumeBitIdentity:
             workload="fileserver",
             policy="tiered-lifecycle",
             audit=True,
-            columnar=True,
         )
         golden_session = SnapshotSession(spec)
         golden = golden_session.run()
@@ -107,7 +106,7 @@ class TestResumeBitIdentity:
         assert fresh.auditor.checks_run == golden_session.auditor.checks_run
 
     def test_columnar_pump_resumes_bit_identically(self, tmp_path):
-        spec = RunSpec(workload="tpcc", policy="ddr", columnar=True)
+        spec = RunSpec(workload="tpcc", policy="ddr")
         golden_session = SnapshotSession(spec)
         golden = golden_session.run()
         fresh, resumed, _ = _crash_and_resume(
@@ -164,6 +163,29 @@ class TestRefusals:
             session.run(snapshot_every=-1, snapshot_dir=tmp_path)
 
 
+class TestLegacyColumnarSpec:
+    """Snapshots taken while ``RunSpec`` still chose the pump resume."""
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_resume_accepts_legacy_columnar_key(self, columnar):
+        spec = RunSpec(workload="tpcc", policy="pdc")
+        golden_session = SnapshotSession(spec)
+        captured = {}
+
+        def hook(count, ts):
+            if count == 500:
+                captured["payload"] = golden_session.capture(count, ts)
+
+        golden = golden_session.run(record_hook=hook)
+        payload = captured["payload"]
+        payload["meta"]["spec"]["columnar"] = columnar
+        resumed_session = SnapshotSession(spec)
+        resumed = resumed_session.resume(payload)
+        assert _surface(resumed, resumed_session) == _surface(
+            golden, golden_session
+        )
+
+
 class TestRunSpec:
     def test_round_trips_through_dict(self):
         spec = RunSpec(
@@ -171,7 +193,6 @@ class TestRunSpec:
             policy="proposed",
             full=True,
             audit=True,
-            columnar=True,
             timeline_interval=60.0,
             faults_json=_fault_plan().to_json(),
         )

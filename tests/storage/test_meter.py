@@ -9,6 +9,7 @@ from repro.storage.enclosure import DiskEnclosure
 from repro.storage.meter import PowerMeter
 from repro.storage.power import ControllerPowerModel, PowerState
 from repro.storage.virtualization import BlockVirtualization
+from tests.io_fields import fields
 
 
 def make_meter(count=2):
@@ -53,7 +54,7 @@ class TestPowerMeter:
         controller = StorageController(virt, StorageCache())
         from repro.trace.records import IOType, LogicalIORecord
 
-        controller.submit(LogicalIORecord(1.0, "a", 0, 4096, IOType.READ))
+        controller.submit(*fields(LogicalIORecord(1.0, "a", 0, 4096, IOType.READ)))
         with_io = meter.read(10.0, controller)
         fresh_meter, _ = make_meter(1)
         without_io = fresh_meter.read(10.0)

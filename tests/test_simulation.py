@@ -6,6 +6,7 @@ from repro import units
 from repro.config import DEFAULT_CONFIG
 from repro.simulation import build_context, default_volume
 from repro.trace.records import IOType, LogicalIORecord
+from tests.io_fields import fields
 
 
 class TestBuildContext:
@@ -50,7 +51,7 @@ class TestBuildContext:
             "a", units.MB, default_volume("enc-00")
         )
         context.controller.submit(
-            LogicalIORecord(1.0, "a", 0, 4096, IOType.READ)
+            *fields(LogicalIORecord(1.0, "a", 0, 4096, IOType.READ))
         )
         assert context.storage_monitor.physical_io_count == 1
 

@@ -69,8 +69,10 @@ class RecordingPolicy(PowerPolicy):
         self.events.append(("checkpoint", now))
         self._next = now + self.period
 
-    def after_io(self, record, response_time):
-        self.events.append(("io", record.timestamp))
+    def after_io(
+        self, timestamp, item_id, offset, size, is_read, sequential, response_time
+    ):
+        self.events.append(("io", timestamp))
 
 
 class TestCheckpointOrdering:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.baselines.base import PowerPolicy
+from repro.errors import TraceError
+from repro.experiments.runner import STANDARD_POLICIES
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.replay import TraceReplayer
 
@@ -34,7 +36,9 @@ class ExplodingPolicy(PowerPolicy):
             raise RuntimeError("boom in checkpoint")
         self._next = now + 10.0
 
-    def after_io(self, record, response_time):
+    def after_io(
+        self, timestamp, item_id, offset, size, is_read, sequential, response_time
+    ):
         if self.where == "after_io":
             raise RuntimeError("boom in after_io")
 
@@ -56,3 +60,23 @@ class TestPolicyFailuresPropagate:
         assert small_context.controller.logical_io_count == 1
         for enclosure in small_context.enclosures:
             assert enclosure.energy_joules() >= 0.0
+
+
+class TestNonFiniteTimestamps:
+    """``nan`` and ``inf`` are refused before any record is served.
+
+    ``nan < last_ts`` is false, so the pump's time-order check alone
+    would let a ``nan`` through (a silent ``nan`` mean response, or a
+    hung checkpoint loop); the columns refuse it when the trace is
+    packed at the kernel's entry.
+    """
+
+    @pytest.mark.parametrize("policy_name", ["no-power-saving", "proposed"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_run_raises_before_serving(self, small_context, policy_name, bad):
+        replayer = TraceReplayer(small_context, STANDARD_POLICIES[policy_name]())
+        with pytest.raises(TraceError, match="non-finite timestamp"):
+            replayer.run([rec(1.0), rec(bad), rec(5.0)], duration=30.0)
+        assert small_context.controller.logical_io_count == 0
+        assert small_context.app_monitor.io_count == 0
+        assert small_context.storage_monitor.physical_io_count == 0
