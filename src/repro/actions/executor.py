@@ -71,8 +71,10 @@ _MIGRATION_ACTIONS = (
     ArchiveItem,
 )
 
-#: Inter-tier move actions that chain on the serialized migration clock.
+#: Inter-tier move actions: the target device is resolved in a tier.
 TierMoveAction = PromoteItem | DemoteItem | ArchiveItem | ReplicateItem
+#: Item moves that chain on the serialized migration clock.
+MoveAction = MigrateItem | TierMoveAction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import EcoStorConfig
@@ -320,12 +322,11 @@ class ActionExecutor:
     def _apply_one(
         self, now: float, action: Action, migration_clock: float, dry_run: bool
     ) -> tuple[ActionRecord, float]:
-        if isinstance(action, MigrateItem):
-            return self._apply_migrate(action, migration_clock, dry_run)
         if isinstance(
-            action, (PromoteItem, DemoteItem, ArchiveItem, ReplicateItem)
+            action,
+            (MigrateItem, PromoteItem, DemoteItem, ArchiveItem, ReplicateItem),
         ):
-            return self._apply_tier_move(action, migration_clock, dry_run)
+            return self._apply_move(action, migration_clock, dry_run)
         if isinstance(action, PreloadItem):
             return self._apply_preload(now, action, dry_run), migration_clock
         if isinstance(action, UnpinItem):
@@ -348,81 +349,80 @@ class ActionExecutor:
             )
         raise UsageError(f"executor cannot apply action {action!r}")
 
-    def _apply_migrate(
-        self, action: MigrateItem, start: float, dry_run: bool
+    def _apply_move(
+        self, action: MoveAction, start: float, dry_run: bool
     ) -> tuple[ActionRecord, float]:
+        """Apply one item move: a :class:`MigrateItem` or a tier move.
+
+        Moves chain on the serialized migration clock: an applied move
+        advances it to the copy's completion, any other outcome leaves it
+        at ``start``.  Only the target differs between the kinds: a
+        :class:`MigrateItem` names its enclosure, while a tier move
+        resolves a device of its target tier and is vetoed while that
+        device sits inside the degraded-mode gate's cool-down window
+        (migrating onto a drive that keeps failing to spin up would
+        strand the data there).
+        """
         controller = self.controller
         virt = controller.virtualization
         item_id = action.item_id
-        target = action.target_enclosure
 
-        def rejected(reason: str) -> tuple[ActionRecord, float]:
+        def finish(
+            outcome: ActionOutcome, reason: str
+        ) -> tuple[ActionRecord, float]:
             return (
-                ActionRecord(
-                    action, ActionOutcome.REJECTED, start, start, reason=reason
-                ),
+                ActionRecord(action, outcome, start, start, reason=reason),
                 start,
             )
 
-        if not virt.has_item(item_id):
-            return rejected("unknown-item")
-        src = virt.enclosure_of(item_id)
-        if src.name == target:
-            return rejected("already-placed")
+        if isinstance(action, MigrateItem):
+            target = action.target_enclosure
+            if not virt.has_item(item_id):
+                return finish(ActionOutcome.REJECTED, "unknown-item")
+            if virt.enclosure_of(item_id).name == target:
+                return finish(ActionOutcome.REJECTED, "already-placed")
+        else:
+            resolved, reject_reason = self._resolve_tier_target(action)
+            if resolved is None:
+                return finish(ActionOutcome.REJECTED, reject_reason or "")
+            target = resolved
+            if start < self._cooldown_until.get(target, 0.0):
+                return finish(
+                    ActionOutcome.VETOED_BY_DEGRADED_MODE, "cooldown"
+                )
         size = virt.item_size(item_id)
+        src = virt.enclosure_of(item_id)
         dst = virt.enclosure(target)
         busy = self._bulk_seconds(size)
         joules = (self._delta_watts(src) + self._delta_watts(dst)) * busy
 
         if dry_run:
-            if dst.capacity_bytes and (
-                virt.used_bytes(target) + size > dst.capacity_bytes
-            ):
-                return rejected("capacity")
+            if not virt.fits(target, size):
+                return finish(ActionOutcome.REJECTED, "capacity")
             clock = self.fault_clock
             if clock is not None and any(
                 clock.outage_at(name, start) is not None
                 for name in (src.name, target)
             ):
-                return (
-                    ActionRecord(
-                        action,
-                        ActionOutcome.ABORTED_BY_FAULT,
-                        start,
-                        start,
-                        reason="outage",
-                    ),
-                    start,
-                )
+                return finish(ActionOutcome.ABORTED_BY_FAULT, "outage")
             completion = start + size / controller.migration_throughput_bps
-            return (
-                ActionRecord(
-                    action,
-                    ActionOutcome.APPLIED,
-                    start,
-                    completion,
-                    cost_seconds=completion - start,
-                    cost_joules=joules,
-                    cost_bytes=size,
-                ),
-                completion,
-            )
-
-        try:
-            completion = controller.migrate_item(start, item_id, target)
-        except CapacityError:
-            return rejected("capacity")
-        except MigrationAbortedError:
-            return (
-                ActionRecord(
-                    action,
-                    ActionOutcome.ABORTED_BY_FAULT,
-                    start,
-                    start,
-                    reason="migration-abort",
-                ),
-                start,
-            )
+        else:
+            if isinstance(action, MigrateItem):
+                move = controller.migrate_item
+            elif isinstance(action, PromoteItem):
+                move = controller.promote_item
+            elif isinstance(action, DemoteItem):
+                move = controller.demote_item
+            elif isinstance(action, ArchiveItem):
+                move = controller.archive_item
+            else:
+                move = controller.replicate_item
+            try:
+                completion = move(start, item_id, target)
+            except CapacityError:
+                return finish(ActionOutcome.REJECTED, "capacity")
+            except MigrationAbortedError:
+                return finish(ActionOutcome.ABORTED_BY_FAULT, "migration-abort")
         return (
             ActionRecord(
                 action,
@@ -484,19 +484,17 @@ class ActionExecutor:
         )
         best: tuple[float, str] | None = None
         for device in target_tier.devices:
-            if device == primary or device in replicas:
+            if (
+                device == primary
+                or device in replicas
+                or not virt.fits(device, size)
+            ):
                 continue
-            enclosure = virt.enclosure(device)
-            if enclosure.capacity_bytes:
-                free = (
-                    enclosure.capacity_bytes
-                    - virt.used_bytes(device)
-                    - virt.replica_bytes_on(device)
-                )
-                if free < size:
-                    continue
-            else:
-                free = float("inf")
+            free: float = (
+                virt.free_bytes(device)
+                if virt.enclosure(device).capacity_bytes
+                else float("inf")
+            )
             # max free bytes wins; the name tuple compare breaks ties
             # ascending because free is negated.
             key = (-free, device)
@@ -505,87 +503,6 @@ class ActionExecutor:
         if best is None:
             return None, "capacity"
         return best[1], None
-
-    def _apply_tier_move(
-        self, action: TierMoveAction, start: float, dry_run: bool
-    ) -> tuple[ActionRecord, float]:
-        """Apply one inter-tier move (promote/demote/archive/replicate).
-
-        Mirrors :meth:`_apply_migrate`: chained on the serialized
-        migration clock, fault-abort draws apply, and a resolved target
-        device sitting inside the degraded-mode gate's cool-down window
-        vetoes the move (migrating onto a drive that keeps failing to
-        spin up would strand the data there).
-        """
-        controller = self.controller
-        virt = controller.virtualization
-        item_id = action.item_id
-
-        def finish(
-            outcome: ActionOutcome, completion: float, reason: str = ""
-        ) -> tuple[ActionRecord, float]:
-            return (
-                ActionRecord(
-                    action, outcome, start, completion, reason=reason
-                ),
-                start,
-            )
-
-        target, reject_reason = self._resolve_tier_target(action)
-        if target is None:
-            return finish(ActionOutcome.REJECTED, start, reject_reason or "")
-        if start < self._cooldown_until.get(target, 0.0):
-            return finish(
-                ActionOutcome.VETOED_BY_DEGRADED_MODE, start, "cooldown"
-            )
-        size = virt.item_size(item_id)
-        src = virt.enclosure_of(item_id)
-        dst = virt.enclosure(target)
-        busy = self._bulk_seconds(size)
-        joules = (self._delta_watts(src) + self._delta_watts(dst)) * busy
-
-        def applied(completion: float) -> tuple[ActionRecord, float]:
-            return (
-                ActionRecord(
-                    action,
-                    ActionOutcome.APPLIED,
-                    start,
-                    completion,
-                    cost_seconds=completion - start,
-                    cost_joules=joules,
-                    cost_bytes=size,
-                ),
-                completion,
-            )
-
-        if dry_run:
-            clock = self.fault_clock
-            if clock is not None and any(
-                clock.outage_at(name, start) is not None
-                for name in (src.name, target)
-            ):
-                return finish(
-                    ActionOutcome.ABORTED_BY_FAULT, start, "outage"
-                )
-            return applied(
-                start + size / controller.migration_throughput_bps
-            )
-        try:
-            if isinstance(action, PromoteItem):
-                completion = controller.promote_item(start, item_id, target)
-            elif isinstance(action, DemoteItem):
-                completion = controller.demote_item(start, item_id, target)
-            elif isinstance(action, ArchiveItem):
-                completion = controller.archive_item(start, item_id, target)
-            else:
-                completion = controller.replicate_item(start, item_id, target)
-        except CapacityError:
-            return finish(ActionOutcome.REJECTED, start, "capacity")
-        except MigrationAbortedError:
-            return finish(
-                ActionOutcome.ABORTED_BY_FAULT, start, "migration-abort"
-            )
-        return applied(completion)
 
     def _apply_preload(
         self, now: float, action: PreloadItem, dry_run: bool

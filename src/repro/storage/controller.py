@@ -17,7 +17,7 @@ subscribes there) as plain fields; the subscriber decides whether a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro import units
 from repro.units import Bytes, Rate, Seconds
@@ -52,6 +52,8 @@ BULK_BANDWIDTH_BPS = 150.0 * units.MB
 #: ever queues behind one chunk (~0.4 s), not behind a whole data item.
 MIGRATION_CHUNK_BYTES = 64 * units.MB
 
+
+_T = TypeVar("_T")
 
 #: Physical-I/O listener: ``(timestamp, enclosure name, block, count,
 #: io_type, item_id)``.
@@ -277,8 +279,8 @@ class StorageController:
     def _with_fault_retry(
         self,
         now: float,
-        attempt: Callable[[float], IOResult],
-    ) -> tuple[IOResult, float]:
+        attempt: Callable[[float], _T],
+    ) -> tuple[_T, float]:
         """Run one physical operation, retrying across injected faults.
 
         Outage refusals are waited out (retry at the window's end);
@@ -329,31 +331,6 @@ class StorageController:
         tap = self._physical_tap
         if tap is not None:
             tap(timestamp, enclosure, block, count, io_type, item_id)
-
-    def _physical_io(
-        self,
-        now: float,
-        item_id: str,
-        offset: int,
-        io_type: IOType,
-        sequential: bool,
-    ) -> float:
-        """Issue one physical I/O; returns the mean response time seen by
-        the application, including any fault-imposed retry delay."""
-        enclosure_name, block = self.virtualization.resolve(item_id, offset)
-        enclosure = self.virtualization.enclosure(enclosure_name)
-        result, delay = self._with_fault_retry(
-            now,
-            lambda at: enclosure.submit(
-                at, count=1, read=io_type.is_read, sequential=sequential
-            ),
-        )
-        issued = now + delay
-        self._emit_physical(issued, enclosure_name, block, 1, io_type, item_id)
-        response = result.mean_response_time + delay
-        if self._device_service_seconds is not None:
-            self._note_tier_service(enclosure_name, item_id, response)
-        return response
 
     def _bulk_transfer(
         self,
@@ -444,23 +421,27 @@ class StorageController:
                 return CACHE_HIT_LATENCY
             io_type = IOType.WRITE
 
-        if fault_clock is not None:
-            return self._physical_io(
-                timestamp, item_id, offset, io_type, sequential
-            )
-        # Fault-free single physical I/O via the cached route, with the
-        # tap call of :meth:`_emit_physical` inlined — this is the
-        # hottest call chain of the whole replay, so every frame counts.
         enclosure, name, base_block, item_size = virtualization.route(item_id)
         if offset < 0 or offset >= item_size:
             raise MappingError(
                 f"offset {offset} outside item {item_id!r} of size {item_size}"
             )
-        response = enclosure.submit_one(timestamp, is_read, sequential)
+        if fault_clock is None:
+            response = enclosure.submit_one(timestamp, is_read, sequential)
+            issued = timestamp
+        else:
+            response, delay = self._with_fault_retry(
+                timestamp,
+                lambda at: enclosure.submit_one(at, is_read, sequential),
+            )
+            issued = timestamp + delay
+            response += delay
+        # The tap call of :meth:`_emit_physical`, inlined: this is the
+        # hottest call chain of the whole replay.
         tap = self._physical_tap
         if tap is not None:
             tap(
-                timestamp,
+                issued,
                 name,
                 base_block + offset // units.BLOCK_SIZE,
                 1,
@@ -606,34 +587,53 @@ class StorageController:
     def migrate_item(self, now: Seconds, item_id: str, target_enclosure: str) -> Seconds:
         """Move a data item to another enclosure (paper §V-A).
 
-        The copy is throttled to ``migration_throughput_bps`` "so as to
-        not influence the applications' performance"; it occupies the
-        source (reads) and the target (writes) and is charged to the
-        migrated-data counter the paper reports in Figs 10/13/16.
-        Returns the completion time.
+        The copy (:meth:`_copy_item`) is charged to the migrated-data
+        counter the paper reports in Figs 10/13/16.  Returns the
+        completion time.
         """
         src_name = self.virtualization.enclosure_of(item_id).name
         if src_name == target_enclosure:
             return now
-        size = self.virtualization.item_size(item_id)
-        src = self.virtualization.enclosure(src_name)
-        dst = self.virtualization.enclosure(target_enclosure)
-        # Validate capacity before any I/O is charged: a failing move
-        # must leave the energy accounting untouched.
-        if dst.capacity_bytes and (
-            self.virtualization.used_bytes(target_enclosure)
-            + self.virtualization.replica_bytes_on(target_enclosure)
-            + size
-            > dst.capacity_bytes
-        ):
+        size, completion = self._copy_item(
+            now, item_id, src_name, target_enclosure, "migrate"
+        )
+        self.virtualization.move_item(item_id, target_enclosure)
+        # Cached copies of the moved item remain valid (logical addressing)
+        # but the write-delay buffer must target the new enclosure; dirty
+        # data was already flushed by the caller before migration.
+        self.migrated_bytes += size
+        self.migration_count += 1
+        return completion
+
+    def _copy_item(
+        self,
+        now: Seconds,
+        item_id: str,
+        src_name: str,
+        target_enclosure: str,
+        verb: str,
+    ) -> tuple[Bytes, Seconds]:
+        """Charge the throttled copy of an item to ``target_enclosure``.
+
+        The copy is throttled to ``migration_throughput_bps`` "so as to
+        not influence the applications' performance"; it occupies the
+        source (reads) and the target (writes).  Capacity is validated
+        before any I/O is charged, so a failing copy leaves the energy
+        accounting untouched.  Fault injection is consulted next, still
+        before anything is charged or remapped: an aborted copy's partial
+        data is discarded, leaving placement maps, used-bytes and energy
+        books exactly as they were (the planner re-plans at the next
+        checkpoint).  Returns ``(item size, completion time)``.
+        """
+        virt = self.virtualization
+        size = virt.item_size(item_id)
+        src = virt.enclosure(src_name)
+        dst = virt.enclosure(target_enclosure)
+        if not virt.fits(target_enclosure, size):
             raise CapacityError(
-                f"cannot migrate {item_id!r} to {target_enclosure!r}: "
+                f"cannot {verb} {item_id!r} to {target_enclosure!r}: "
                 "insufficient space"
             )
-        # Fault injection is consulted before anything is charged or
-        # remapped: an aborted move's partial copy is discarded, leaving
-        # placement maps, used-bytes and energy books exactly as they
-        # were (the MigrationEngine re-plans at the next checkpoint).
         if self._fault_clock is not None:
             if self._fault_clock.migration_abort(item_id, now):
                 self.migration_aborts += 1
@@ -663,13 +663,7 @@ class StorageController:
                 marker, target_enclosure, 0, per_marker, IOType.WRITE, item_id
             )
             marker += 60.0
-        self.virtualization.move_item(item_id, target_enclosure)
-        # Cached copies of the moved item remain valid (logical addressing)
-        # but the write-delay buffer must target the new enclosure; dirty
-        # data was already flushed by the caller before migration.
-        self.migrated_bytes += size
-        self.migration_count += 1
-        return completion
+        return size, completion
 
     # ------------------------------------------------------------------
     # tier lifecycle primitives (repro.storage.tiers)
@@ -729,41 +723,9 @@ class StorageController:
                 f"item {item_id!r} already has a replica on "
                 f"{target_enclosure!r}"
             )
-        size = self.virtualization.item_size(item_id)
-        src = self.virtualization.enclosure(src_name)
-        dst = self.virtualization.enclosure(target_enclosure)
-        occupied = self.virtualization.used_bytes(
-            target_enclosure
-        ) + self.virtualization.replica_bytes_on(target_enclosure)
-        if dst.capacity_bytes and occupied + size > dst.capacity_bytes:
-            raise CapacityError(
-                f"cannot replicate {item_id!r} to {target_enclosure!r}: "
-                "insufficient space"
-            )
-        if self._fault_clock is not None:
-            if self._fault_clock.migration_abort(item_id, now):
-                self.migration_aborts += 1
-                raise MigrationAbortedError(item_id, now)
-            for name in (src_name, target_enclosure):
-                if self._fault_clock.outage_at(name, now) is not None:
-                    self.migration_aborts += 1
-                    raise MigrationAbortedError(item_id, now)
-        duration = size / self.migration_throughput_bps
-        busy = size / self.bulk_bandwidth_bps
-        count = max(1, size // BULK_IO_UNIT)
-        src.background_transfer(now, duration, busy, count, read=True)
-        dst.background_transfer(now, duration, busy, count, read=False)
-        completion = now + duration
-        marker = now
-        per_marker = max(1, int(count // max(1, duration // 60.0 + 1)))
-        while marker < completion:
-            self._emit_physical(
-                marker, src_name, 0, per_marker, IOType.READ, item_id
-            )
-            self._emit_physical(
-                marker, target_enclosure, 0, per_marker, IOType.WRITE, item_id
-            )
-            marker += 60.0
+        size, completion = self._copy_item(
+            now, item_id, src_name, target_enclosure, "replicate"
+        )
         self.virtualization.add_replica(item_id, target_enclosure)
         self.replicated_bytes += size
         self.replication_count += 1

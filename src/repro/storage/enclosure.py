@@ -44,12 +44,16 @@ class IOResult:
     ``arrival`` is when the request was issued, ``start`` when service
     began (after any queueing and spin-up wait), ``completion`` when the
     last I/O of the batch finished, and ``count`` the batch size.
+    ``service`` is the exact service time the enclosure charged; it
+    defaults to ``completion − start``, which can differ from it in the
+    last bit (``(start + s) − start`` rounds).
     """
 
     arrival: Seconds
     start: Seconds
     completion: Seconds
     count: int
+    service: Seconds | None = None
 
     @property
     def response_time(self) -> Seconds:
@@ -69,7 +73,9 @@ class IOResult:
         ``start + (i/count) × service``; averaging gives
         ``wait + service × (count + 1) / (2 × count)``.
         """
-        service = self.completion - self.start
+        service = self.service
+        if service is None:
+            service = self.completion - self.start
         return self.wait_time + service * (self.count + 1) / (2 * self.count)
 
 
@@ -223,11 +229,9 @@ class DiskEnclosure:
         """Attach the simulation's fault oracle (:mod:`repro.faults`)."""
         self._fault_clock = clock
 
-    def _check_outage(self, at: Seconds) -> None:
+    def _check_outage(self, fault_clock: "FaultClock", at: Seconds) -> None:
         """Refuse service while inside an injected outage window."""
-        if self._fault_clock is None:
-            return
-        outage = self._fault_clock.outage_at(self.name, at)
+        outage = fault_clock.outage_at(self.name, at)
         if outage is not None:
             raise EnclosureUnavailableError(self.name, at, outage.end)
 
@@ -396,68 +400,29 @@ class DiskEnclosure:
         rate = self.iops_sequential if sequential else self.iops_random
         return count / rate
 
-    def submit(
-        self,
-        now: Seconds,
-        count: int = 1,
-        read: bool = True,
-        sequential: bool = False,
-    ) -> IOResult:
-        """Submit a batch of I/Os arriving at ``now``; returns timing.
-
-        Handles spin-up (with its wait charged to the request), queueing
-        behind earlier requests, and the ACTIVE energy of the service
-        itself.  ``now`` may be earlier than the settled clock (the
-        enclosure was busy servicing a prior spin-up); the request then
-        queues at the current clock.
-        """
-        if count <= 0:
-            raise ValidationError("count must be positive")
-        self.settle(max(now, self._clock))
-        self._check_outage(max(now, self._clock))
-        self._ensure_on()
-        start = max(now, self._clock, self._busy_until)
-        # The queue (or spin-up wait) may have pushed the start into an
-        # outage window that opened after arrival — refuse before any
-        # service state is mutated; the controller retries past the window.
-        self._check_outage(start)
-        self.settle(start)
-        service = self.service_time(count, sequential)
-        completion = start + service
-        if self._fault_clock is not None:
-            self._fault_clock.note_service(self.name, start)
-        if self._state is not PowerState.ACTIVE:
-            self._transition(PowerState.ACTIVE, start)
-        self._busy_until = max(self._busy_until, completion)
-        self.io_count += count
-        if read:
-            self.read_count += count
-        else:
-            self.write_count += count
-        self.last_io_time = now
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
-
-    def submit_one(
-        self,
-        now: Seconds,
-        read: bool,
-        sequential: bool,
+    def serve(
+        self, now: Seconds, seconds: Seconds, count: int, read: bool
     ) -> Seconds:
-        """Serve a single I/O; returns its mean response time in seconds.
+        """Serve ``count`` I/Os that arrive at ``now`` and hold the queue
+        for ``seconds``; returns the time service starts.
 
-        The allocation-free specialization of :meth:`submit` for
-        ``count=1`` that the replay pump drives: no
-        :class:`IOResult` is built, and the no-fault run skips the
-        outage/spin-up-failure machinery entirely.  Kept
-        operation-for-operation float-identical to
-        ``submit(now, count=1, ...).mean_response_time`` — the golden
-        bit-identity test holds both paths to the same timeline.
+        The one service walk every I/O class shares: settle the timeline
+        to the arrival, spin up if needed (the wait is charged to the
+        request), queue behind earlier requests, then hold the enclosure
+        ACTIVE until ``start + seconds`` and count the I/Os.  ``now`` may
+        be earlier than the settled clock (the enclosure was busy with a
+        prior spin-up); the request then queues at the clock.
+
+        Under fault injection the walk refuses service with
+        :class:`~repro.errors.EnclosureUnavailableError` inside an outage
+        window, both at arrival and at a start that the queue (or the
+        spin-up wait) pushed into a window that opened later — before any
+        service state is mutated, so the controller can retry past it.
         """
-        if self._fault_clock is not None:
-            return self.submit(
-                now, count=1, read=read, sequential=sequential
-            ).mean_response_time
+        fault_clock = self._fault_clock
         self.settle(now)
+        if fault_clock is not None:
+            self._check_outage(fault_clock, self._clock)
         state = self._state
         if state is not PowerState.ACTIVE and state is not PowerState.IDLE:
             self._ensure_on()
@@ -466,27 +431,45 @@ class DiskEnclosure:
             start = self._clock
         if self._busy_until > start:
             start = self._busy_until
+        if fault_clock is not None:
+            self._check_outage(fault_clock, start)
         # settle(start) is a no-op unless the queue pushed the start past
         # the settled clock (start >= clock by construction).
         if start > self._clock:
             self.settle(start)
-        # 1/rate == service_time(1, sequential) exactly (1 converts to
-        # 1.0 with no rounding).
-        service = 1.0 / (self.iops_sequential if sequential else self.iops_random)
-        completion = start + service
+        if fault_clock is not None:
+            fault_clock.note_service(self.name, start)
         if self._state is not PowerState.ACTIVE:
             self._transition(PowerState.ACTIVE, start)
+        completion = start + seconds
         if completion > self._busy_until:
             self._busy_until = completion
-        self.io_count += 1
+        self.io_count += count
         if read:
-            self.read_count += 1
+            self.read_count += count
         else:
-            self.write_count += 1
+            self.write_count += count
         self.last_io_time = now
-        # mean response for count=1: wait + service*(1+1)/(2*1) == wait
-        # + service, since service*2/2 is exact in floating point.
-        return (start - now) + service
+        return start
+
+    def submit(
+        self,
+        now: Seconds,
+        count: int = 1,
+        read: bool = True,
+        sequential: bool = False,
+    ) -> IOResult:
+        """Submit a batch of I/Os arriving at ``now`` through :meth:`serve`;
+        the service time is ``count`` over the IOPS capacity."""
+        service = self.service_time(count, sequential)
+        start = self.serve(now, service, count, read)
+        return IOResult(now, start, start + service, count, service)
+
+    def submit_one(self, now: Seconds, read: bool, sequential: bool) -> Seconds:
+        """Serve a single I/O through :meth:`serve`; returns its response
+        time, equal to ``submit(now, 1, read, sequential).mean_response_time``."""
+        service = 1.0 / (self.iops_sequential if sequential else self.iops_random)
+        return (self.serve(now, service, 1, read) - now) + service
 
     def background_transfer(
         self,
@@ -538,33 +521,15 @@ class DiskEnclosure:
 
         Bulk operations (preload bursts, write-delay flushes, migration
         copies) are bandwidth-dominated rather than IOPS-dominated, so the
-        caller computes their duration from bytes / bandwidth and this
-        method charges the ACTIVE time directly.  Queueing and spin-up
-        behave exactly as in :meth:`submit`.
+        caller computes their duration from bytes / bandwidth and
+        :meth:`serve` charges that ACTIVE time directly.
         """
         if seconds < 0:
             raise ValidationError("seconds must be non-negative")
         if count <= 0:
             raise ValidationError("count must be positive")
-        self.settle(max(now, self._clock))
-        self._check_outage(max(now, self._clock))
-        self._ensure_on()
-        start = max(now, self._clock, self._busy_until)
-        self._check_outage(start)
-        self.settle(start)
-        completion = start + seconds
-        if self._fault_clock is not None:
-            self._fault_clock.note_service(self.name, start)
-        if self._state is not PowerState.ACTIVE:
-            self._transition(PowerState.ACTIVE, start)
-        self._busy_until = max(self._busy_until, completion)
-        self.io_count += count
-        if read:
-            self.read_count += count
-        else:
-            self.write_count += count
-        self.last_io_time = now
-        return IOResult(arrival=now, start=start, completion=completion, count=count)
+        start = self.serve(now, seconds, count, read)
+        return IOResult(now, start, start + seconds, count, seconds)
 
     def finish(self, now: Seconds) -> None:
         """Settle the timeline to the end of the run."""

@@ -221,11 +221,10 @@ class BlockVirtualization:
             raise ValidationError(f"item size must be positive: {size_bytes}")
         vol = self.volume(volume)
         enc = self.enclosure(vol.enclosure)
-        occupied = self._used_bytes[enc.name] + self._replica_bytes[enc.name]
-        if enc.capacity_bytes and occupied + size_bytes > enc.capacity_bytes:
+        if not self.fits(enc.name, size_bytes):
             raise CapacityError(
                 f"enclosure {enc.name!r} cannot hold item {item_id!r}: "
-                f"used {occupied} + {size_bytes} > "
+                f"used {self._occupied(enc.name)} + {size_bytes} > "
                 f"{enc.capacity_bytes}"
             )
         self._item_volume[item_id] = volume
@@ -339,6 +338,10 @@ class BlockVirtualization:
         except KeyError:
             raise MappingError(f"unknown enclosure {enclosure!r}") from None
 
+    def _occupied(self, enclosure: str) -> int:
+        """Bytes taking capacity: primary data plus replica copies."""
+        return self._used_bytes[enclosure] + self._replica_bytes[enclosure]
+
     def free_bytes(self, enclosure: str) -> int:
         """Remaining capacity of the enclosure in bytes.
 
@@ -350,11 +353,18 @@ class BlockVirtualization:
             raise MappingError(
                 f"enclosure {enclosure!r} has no declared capacity"
             )
-        return (
-            enc.capacity_bytes
-            - self._used_bytes[enclosure]
-            - self._replica_bytes[enclosure]
-        )
+        return enc.capacity_bytes - self._occupied(enclosure)
+
+    def fits(self, enclosure: str, size_bytes: int) -> bool:
+        """Whether ``size_bytes`` more can be placed on the enclosure.
+
+        The one capacity rule every placement obeys — installs, moves,
+        replicas, and the executor's dry-run predictions alike: primary
+        and replica bytes both occupy capacity, and an enclosure with no
+        declared capacity holds anything.
+        """
+        capacity = self.enclosure(enclosure).capacity_bytes
+        return not capacity or self._occupied(enclosure) + size_bytes <= capacity
 
     # ------------------------------------------------------------------
     # replicas
@@ -384,12 +394,11 @@ class BlockVirtualization:
             raise MappingError(
                 f"item {item_id!r} already has a replica on {enclosure!r}"
             )
-        enc = self._enclosures[enclosure]
-        occupied = self._used_bytes[enclosure] + self._replica_bytes[enclosure]
-        if enc.capacity_bytes and occupied + size > enc.capacity_bytes:
+        if not self.fits(enclosure, size):
             raise CapacityError(
                 f"enclosure {enclosure!r} cannot hold a replica of "
-                f"{item_id!r}: used {occupied} + {size} > {enc.capacity_bytes}"
+                f"{item_id!r}: used {self._occupied(enclosure)} + {size} > "
+                f"{self._enclosures[enclosure].capacity_bytes}"
             )
         copies[enclosure] = size
         self._replica_bytes[enclosure] += size
@@ -435,16 +444,11 @@ class BlockVirtualization:
         if src == target_enclosure:
             return src, src
         size = self._item_size[item_id]
-        target = self.enclosure(target_enclosure)
-        occupied = (
-            self._used_bytes[target_enclosure]
-            + self._replica_bytes[target_enclosure]
-        )
-        if target.capacity_bytes and occupied + size > target.capacity_bytes:
+        if not self.fits(target_enclosure, size):
             raise CapacityError(
                 f"cannot move {item_id!r} to {target_enclosure!r}: "
-                f"used {occupied} + {size} > "
-                f"{target.capacity_bytes}"
+                f"used {self._occupied(target_enclosure)} + {size} > "
+                f"{self._enclosures[target_enclosure].capacity_bytes}"
             )
         volume_name = f"_migration/{target_enclosure}"
         if volume_name not in self._volumes:

@@ -17,18 +17,39 @@ from __future__ import annotations
 
 from collections import defaultdict
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from repro import units
-from repro.errors import WorkloadError
+from repro.errors import CapacityError, TraceError, WorkloadError
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.reader import read_logical_trace, read_msr_trace
 from repro.trace.records import LogicalIORecord
 from repro.workloads.items import DataItemSpec, Workload
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation import SimulationContext
+
 #: Items are sized up to the next multiple of this, with one slack unit,
 #: so replays never touch past the inferred end of an item.
 SIZE_QUANTUM = 16 * units.MB
+
+
+class TraceWorkload(Workload):
+    """A :class:`Workload` whose item catalog was inferred from a trace.
+
+    The item sizes come from the trace's offsets, so an item that its
+    enclosure cannot hold is an input error: :meth:`install` reports it
+    as :class:`~repro.errors.TraceError`.  A capacity failure of the
+    simulator's own placement (a generated catalog, a migration) still
+    raises :class:`~repro.errors.CapacityError`.
+    """
+
+    def install(self, context: SimulationContext) -> None:
+        """Install as :meth:`Workload.install`; overflow is a trace error."""
+        try:
+            super().install(context)
+        except CapacityError as exc:
+            raise TraceError(f"trace does not fit the array: {exc}") from exc
 
 
 def infer_item_sizes(
@@ -75,7 +96,7 @@ def workload_from_records(
         for index, item in enumerate(sorted(sizes))
     ]
     end = ordered[-1].timestamp + 1.0
-    return Workload(
+    return TraceWorkload(
         name=name,
         duration=duration if duration is not None else end,
         enclosure_count=enclosure_count,

@@ -356,6 +356,30 @@ class TestDryRun:
         assert report.records[0].reason == "capacity"
         assert virt.enclosure_of("big-0").name == names[0]
 
+    def test_dry_run_counts_replica_bytes_like_the_live_apply(self, config):
+        """A target half full of primary data and half of a replica is
+        full: the dry run must predict the live capacity rejection."""
+        context = build_context(config, 3)
+        virt = context.virtualization
+        names = virt.enclosure_names
+        cap = config.enclosure_size_bytes
+        half = cap // 2
+        virt.add_item("mover", 64 * units.MB, default_volume(names[0]))
+        virt.add_item("primary", half, default_volume(names[1]))
+        virt.add_item("other", cap - half, default_volume(names[2]))
+        virt.add_replica("other", names[1])
+        assert virt.used_bytes(names[1]) + 64 * units.MB <= cap
+        plan = ActionPlan([MigrateItem("mover", names[1])])
+        executor = context.require_executor()
+        dry = executor.apply(0.0, plan, dry_run=True).records[0]
+        live = executor.apply(0.0, plan).records[0]
+        assert (dry.outcome, dry.reason) == (live.outcome, live.reason)
+        assert (live.outcome, live.reason) == (
+            ActionOutcome.REJECTED,
+            "capacity",
+        )
+        assert virt.enclosure_of("mover").name == names[0]
+
 
 class TestLogAndReport:
     def test_record_log_toggle_keeps_counters(self, small_context):

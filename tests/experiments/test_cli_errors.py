@@ -11,7 +11,7 @@ import pytest
 import repro.cli as cli
 from repro.cli import main
 from repro.core.placement import HotSetTooSmall
-from repro.errors import AuditError, PlacementError
+from repro.errors import AuditError, CapacityError, PlacementError
 
 
 class TestDomainErrorsExitTwo:
@@ -48,6 +48,19 @@ class TestDomainErrorsExitTwo:
         bad.write_bytes(b"garbage bytes")
         assert main(["trace", "info", str(bad)]) == 2
         assert ".ecot" in capsys.readouterr().err
+
+    def test_trace_error_from_item_past_enclosure_capacity(
+        self, capsys, tmp_path
+    ):
+        trace = tmp_path / "huge-offset.csv"
+        trace.write_text(
+            "timestamp,item_id,offset,size,io_type,sequential\n"
+            "0.5,a,100000000000000,4096,R,0\n"
+        )
+        assert main(["replay-trace", str(trace), "no-power-saving"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ecostor: error: trace does not fit the array")
+        assert len(err.splitlines()) == 1
 
     def test_audit_error_maps_to_exit_two(self, capsys, monkeypatch):
         def fail(args):
@@ -110,6 +123,14 @@ class TestBugsStillPropagate:
 
         monkeypatch.setattr(cli, "_cmd_run", explode)
         with pytest.raises(RuntimeError, match="a genuine bug"):
+            main(["run", "fileserver", "proposed"])
+
+    def test_simulator_capacity_errors_are_not_swallowed(self, monkeypatch):
+        def overflow(args):
+            raise CapacityError("placement overflowed enc-03")
+
+        monkeypatch.setattr(cli, "_cmd_run", overflow)
+        with pytest.raises(CapacityError, match="enc-03"):
             main(["run", "fileserver", "proposed"])
 
 

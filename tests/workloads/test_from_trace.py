@@ -7,17 +7,20 @@ import pytest
 from repro import units
 from repro.baselines.nopower import NoPowerSavingPolicy
 from repro.config import DEFAULT_CONFIG
-from repro.errors import WorkloadError
+from repro.errors import CapacityError, TraceError, WorkloadError
 from repro.experiments.runner import run_cell
+from repro.simulation import build_context
 from repro.trace.records import IOType, LogicalIORecord
 from repro.trace.writer import write_logical_trace
 from repro.workloads.from_trace import (
     SIZE_QUANTUM,
+    TraceWorkload,
     infer_item_sizes,
     workload_from_csv,
     workload_from_msr,
     workload_from_records,
 )
+from repro.workloads.items import Workload
 
 
 def rec(t, item="a", offset=0, size=4096):
@@ -69,6 +72,34 @@ class TestWorkloadFromRecords:
         workload = workload_from_records(records, enclosure_count=2)
         result = run_cell(workload, NoPowerSavingPolicy(), DEFAULT_CONFIG)
         assert result.replay.io_count == 30
+
+
+class TestCapacityOverflow:
+    """An item sized past its enclosure is the trace's fault, not a bug."""
+
+    def test_trace_item_past_capacity_is_a_trace_error(self):
+        workload = workload_from_records(
+            [rec(0.0, "a", offset=10**14)], enclosure_count=1
+        )
+        assert isinstance(workload, TraceWorkload)
+        context = build_context(DEFAULT_CONFIG, 1)
+        with pytest.raises(TraceError, match="does not fit") as caught:
+            workload.install(context)
+        assert isinstance(caught.value.__cause__, CapacityError)
+
+    def test_generated_catalog_overflow_still_raises_capacity_error(self):
+        workload = workload_from_records(
+            [rec(0.0, "a", offset=10**14)], enclosure_count=1
+        )
+        generated = Workload(
+            name="generated",
+            duration=workload.duration,
+            enclosure_count=1,
+            items=workload.items,
+            records=workload.records,
+        )
+        with pytest.raises(CapacityError):
+            generated.install(build_context(DEFAULT_CONFIG, 1))
 
 
 class TestCsvIngestion:
