@@ -138,8 +138,8 @@ class ActionExecutor:
     """Applies action plans to the storage layer; owns the action log.
 
     The executor is the *only* component that may call the controller's
-    mutators or an enclosure's power-off enablement (lint rule R9
-    enforces this across ``src/``).  It also owns the degraded-mode
+    mutators or an enclosure's power-off enablement (analysis check
+    D201 enforces this across ``src/``).  It also owns the degraded-mode
     power-off gate that used to live on the policy base class: the
     per-enclosure cool-down state must sit beside the component that
     applies power decisions, not on each planner.

@@ -12,15 +12,16 @@ This package provides three independent lines of defence, all built
 only on the standard library (no mypy/ruff dependency):
 
 * :mod:`repro.devtools.lint` — a line-local static analyser over
-  :mod:`ast` with a registry of domain rules (R1–R9), per-line
+  :mod:`ast` with a registry of domain rules (R1–R8, R10), per-line
   suppression comments (``# lint: ignore[rule-id]``), and text/JSON
   reporters.  Run it as ``python -m repro.devtools.lint src`` or
   ``ecostor lint``.
 * :mod:`repro.devtools.analysis` — a whole-program analyser that
   indexes the package into a symbol table and call graph, then checks
   dimensional consistency over the :mod:`repro.units` aliases
-  (D101–D104) and planner purity/determinism/snapshottability
-  (D201–D205), gated on a
+  (D101–D104), the storage boundary — storage mutated only through
+  the :mod:`repro.actions` executor (D201) — and determinism and
+  snapshottability (D202–D205), gated on a
   committed ``analysis-baseline.json``.  Run it as ``ecostor analyze``.
 * :mod:`repro.devtools.audit` — an opt-in runtime
   :class:`~repro.devtools.audit.InvariantAuditor` the trace replayer

@@ -15,12 +15,13 @@ Built-in checkers:
   ``Watts``, ``Bytes``, ``Rate``) through assignments, calls, and
   attribute reads, and flags mixed-dimension arithmetic, comparisons,
   returns, and arguments.
-* **D2 — planner purity & determinism**
+* **D2 — storage boundary & determinism**
   (:mod:`~repro.devtools.analysis.determinism`, D201–D204): proves
-  policy checkpoint/trigger paths reach storage mutation only via
-  ``ActionExecutor.apply`` (closing lint rule R9's transitive-call
-  hole), and flags unseeded :mod:`random`, wall-clock reads, and
-  unordered ``set`` iteration feeding ordering-sensitive sinks.
+  storage mutators are called only by the action layer and the
+  controller, and that policy entry points reach them only via
+  ``ActionExecutor.apply`` (D201); flags unseeded :mod:`random`,
+  wall-clock reads, and unordered ``set`` iteration feeding
+  ordering-sensitive sinks.
 * **D205 — snapshot protocol**
   (:mod:`~repro.devtools.analysis.snapshots`): flags policy classes
   whose mutable state is invisible to :mod:`repro.persistence` —

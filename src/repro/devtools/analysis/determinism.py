@@ -1,19 +1,24 @@
-"""D2 — planner purity and determinism of the policy layer.
+"""D2 — the storage boundary and determinism of the policy layer.
 
 The golden bit-identity replay test and the parallel result cache both
 rest on two properties this checker proves statically:
 
-**Purity (D201).**  Policies are planners: the only way a policy's
-``on_checkpoint``/``after_io``/trigger path may mutate storage is by
-submitting an :class:`~repro.actions.plan.ActionPlan` to
-:meth:`ActionExecutor.apply`.  Lint rule R9 flags *direct* mutator
-calls per file, but a policy could still reach a mutator through a
-helper chain (the transitive-call hole).  D201 closes it: starting from
-every policy entry point it walks the whole-program call graph, treats
-``ActionExecutor.apply`` as the one opaque, sanctioned gateway, and
-reports any path that reaches a storage mutator without passing through
-it — including paths that sneak into executor internals or
-controller-private helpers.
+**Storage boundary (D201).**  Storage changes in one way only: a typed
+:class:`~repro.actions.plan.ActionPlan` applied by
+:meth:`ActionExecutor.apply`, which records, gates, and costs every
+action.  :data:`STORAGE_MUTATORS` names the mutating entry points; only
+the modules in :data:`_EXEMPT_MODULES` (the action layer and the
+controller that implements the mutators) may call them.  D201 checks
+the boundary in one pass with two parts:
+
+* *direct calls* — every mutator call in a module outside the exempt
+  set, at module level or inside a definition;
+* *transitive calls* — from every policy entry point it walks the
+  whole-program call graph, treats ``ActionExecutor.apply`` as the one
+  opaque, sanctioned gateway, and reports any path that reaches a
+  mutator without passing through it — including paths that sneak into
+  executor internals or controller-private helpers, which the direct
+  part exempts.
 
 **Determinism (D202–D204).**  Replays must be bit-identical across
 processes and machines, so analyzed code must not consult the module-
@@ -42,31 +47,64 @@ from repro.devtools.analysis.symbols import (
     FunctionInfo,
     ModuleIndex,
     Program,
+    collect_calls,
+    terminal_name,
 )
-from repro.devtools.rules import MUTATOR_METHODS
 
-__all__ = ["DeterminismChecker", "PurityChecker"]
+__all__ = [
+    "POLICY_BASE",
+    "STORAGE_MUTATORS",
+    "DeterminismChecker",
+    "StorageBoundaryChecker",
+]
+
+#: Mutating entry points of the storage layer: placement, cache
+#: selection, delayed-write flushing, migration charging, power-off
+#: enablement, inter-tier moves, and replica bookkeeping.  Everything
+#: else on the controller, enclosures, and virtualization is a read.
+STORAGE_MUTATORS = frozenset(
+    {
+        "migrate_item",
+        "preload_item",
+        "unpin_item",
+        "select_write_delay",
+        "flush_write_delay",
+        "flush_item",
+        "charge_block_migration",
+        "enable_power_off",
+        "disable_power_off",
+        "promote_item",
+        "demote_item",
+        "archive_item",
+        "replicate_item",
+        "add_replica",
+        "remove_replica",
+    }
+)
+
+#: Modules (and packages) allowed to call a storage mutator directly:
+#: the action layer that applies plans, and the controller that
+#: implements the mutators (its submit path flushes its own write-delay
+#: partition; replication books its own replicas).
+_EXEMPT_MODULES = ("repro.actions", "repro.storage.controller")
 
 #: Policy entry points whose transitive call closure must stay pure.
 _ENTRY_POINTS = ("on_start", "on_checkpoint", "after_io", "on_end")
 
 #: Base class marking a planner (matched by bare name, so fixture
 #: hierarchies work without importing the real one).
-_POLICY_BASE = "PowerPolicy"
+POLICY_BASE = "PowerPolicy"
 
 #: The sanctioned mutation gateway: applying a typed plan.
 _GATEWAY_METHOD = "apply"
 _GATEWAY_CLASS = "ActionExecutor"
 
 
-def _terminal_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
-    return ""
+def _is_exempt(module: ModuleIndex) -> bool:
+    return any(
+        module.name == owner or module.name.startswith(owner + ".")
+        for owner in _EXEMPT_MODULES
+    )
 
 
 def _mentions_executor(node: ast.expr | None) -> bool:
@@ -85,17 +123,19 @@ def _mentions_executor(node: ast.expr | None) -> bool:
 
 
 @register_checker
-class PurityChecker(Checker):
-    """D201: policy paths reaching storage mutation outside the executor."""
+class StorageBoundaryChecker(Checker):
+    """D201: storage mutated other than through ``ActionExecutor.apply``."""
 
-    check_ids = {"D201": "planner-purity"}
+    check_ids = {"D201": "storage-boundary"}
 
     def check_module(
         self, module: ModuleIndex, program: Program
     ) -> Iterator[Finding]:
-        """Walk every policy entry point defined in ``module``."""
+        """Flag direct mutator calls, then walk every policy entry point."""
+        if not _is_exempt(module):
+            yield from self._direct_calls(module)
         for cls in module.classes.values():
-            if not self._is_policy(cls, program):
+            if not program.inherits_from(cls, POLICY_BASE):
                 continue
             for entry_name in _ENTRY_POINTS:
                 entry = cls.methods.get(entry_name)
@@ -112,9 +152,22 @@ class PurityChecker(Checker):
                         f"{' -> '.join(chain)})",
                     )
 
-    @staticmethod
-    def _is_policy(cls: ClassInfo, program: Program) -> bool:
-        return program.inherits_from(cls, _POLICY_BASE)
+    def _direct_calls(self, module: ModuleIndex) -> Iterator[Finding]:
+        contexts: dict[ast.AST, str] | None = None
+        for site in collect_calls(module.tree):
+            if site.method not in STORAGE_MUTATORS:
+                continue
+            if contexts is None:
+                contexts = _context_table(module.tree, module.name)
+            yield self.finding(
+                "D201",
+                module,
+                site.node,
+                contexts.get(site.node, ""),
+                f"direct call to {site.method}() — storage mutations go "
+                "through an ActionPlan applied by the repro.actions "
+                "executor, which records, gates, and costs them",
+            )
 
     def _find_mutations(
         self, entry: FunctionInfo, program: Program
@@ -134,7 +187,7 @@ class PurityChecker(Checker):
             for site in fn.calls:
                 if self._is_gateway(site, module, owner, program):
                     continue  # plans applied through the executor are legal
-                if site.method in MUTATOR_METHODS:
+                if site.method in STORAGE_MUTATORS:
                     offence = (site.method, [*chain, f"{site.method}()"])
                     if offence not in offences:
                         offences.append(offence)
@@ -327,7 +380,7 @@ class DeterminismChecker(Checker):
         context = contexts.get(node, "")
         func = node.func
         if isinstance(func, ast.Attribute):
-            receiver = _terminal_name(func.value)
+            receiver = terminal_name(func.value)
             target = module.imports.get(receiver, receiver)
             if receiver == "random" or target == "random":
                 if func.attr in _RANDOM_FUNCS:
@@ -376,7 +429,7 @@ class DeterminismChecker(Checker):
                     "simulation logic must use virtual time",
                 )
         # D204: sink(set_expr)
-        sink = _terminal_name(func)
+        sink = terminal_name(func)
         if sink in _ORDER_SINKS and node.args:
             set_names = self._set_typed_names(module)
             if self._is_set_expr(node.args[0], set_names):
@@ -423,7 +476,7 @@ class DeterminismChecker(Checker):
     def _builds_set(node: ast.expr) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
-        if isinstance(node, ast.Call) and _terminal_name(node.func) in (
+        if isinstance(node, ast.Call) and terminal_name(node.func) in (
             "set",
             "frozenset",
         ):

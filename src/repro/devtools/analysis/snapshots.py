@@ -29,6 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.devtools.analysis.determinism import POLICY_BASE
 from repro.devtools.analysis.framework import (
     Checker,
     Finding,
@@ -37,9 +38,6 @@ from repro.devtools.analysis.framework import (
 from repro.devtools.analysis.symbols import ClassInfo, ModuleIndex, Program
 
 __all__ = ["SnapshotProtocolChecker"]
-
-#: Base class marking a planner (matched by bare name, like D201).
-_POLICY_BASE = "PowerPolicy"
 
 #: The two halves of the repro.persistence Snapshottable protocol.
 _PROTOCOL = ("snapshot_state", "restore_state")
@@ -80,7 +78,7 @@ class SnapshotProtocolChecker(Checker):
     ) -> Iterator[Finding]:
         """Audit every policy class defined in ``module``."""
         for cls in module.classes.values():
-            if not program.inherits_from(cls, _POLICY_BASE):
+            if not program.inherits_from(cls, POLICY_BASE):
                 continue
             yield from self._check_class(cls, module)
 

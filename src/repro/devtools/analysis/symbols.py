@@ -34,9 +34,11 @@ __all__ = [
     "FunctionInfo",
     "ModuleIndex",
     "Program",
+    "collect_calls",
     "index_paths",
     "iter_python_files",
     "module_name_for",
+    "terminal_name",
 ]
 
 #: Directory names never descended into during discovery.
@@ -89,7 +91,7 @@ def _annotation_text(node: ast.expr | None) -> str | None:
             return left
     # Optional[X]
     if isinstance(node, ast.Subscript):
-        base = _terminal_name(node.value)
+        base = terminal_name(node.value)
         if base == "Optional":
             return _annotation_text(node.slice)
         if base == "Final":
@@ -100,14 +102,14 @@ def _annotation_text(node: ast.expr | None) -> str | None:
         return None
 
 
-def _terminal_name(node: ast.AST) -> str:
+def terminal_name(node: ast.AST) -> str:
     """Last dotted component of a name-like expression, else ``''``."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
+        return terminal_name(node.func)
     return ""
 
 
@@ -121,7 +123,7 @@ def annotation_terminal(text: str | None) -> str | None:
 
 @dataclass(frozen=True)
 class CallSite:
-    """One call expression inside a function body."""
+    """One call expression in a function body or at module level."""
 
     node: ast.Call
     #: Terminal attribute/function name being called (``migrate_item``).
@@ -310,9 +312,10 @@ class Program:
         return False
 
 
-def _collect_calls(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[CallSite]:
+def collect_calls(tree: ast.AST) -> list[CallSite]:
+    """Every call expression under ``tree`` (a function or a whole module)."""
     calls: list[CallSite] = []
-    for node in ast.walk(fn):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Attribute):
@@ -332,7 +335,7 @@ def _index_function(
     args = node.args
     positional = [*args.posonlyargs, *args.args]
     if class_name is not None and positional and not any(
-        _terminal_name(dec) == "staticmethod" for dec in node.decorator_list
+        terminal_name(dec) == "staticmethod" for dec in node.decorator_list
     ):
         positional = positional[1:]  # self / cls
     params: dict[str, str | None] = {}
@@ -348,10 +351,10 @@ def _index_function(
         returns=_annotation_text(node.returns),
         class_name=class_name,
         is_property=any(
-            _terminal_name(dec) in ("property", "cached_property")
+            terminal_name(dec) in ("property", "cached_property")
             for dec in node.decorator_list
         ),
-        calls=_collect_calls(node),
+        calls=collect_calls(node),
     )
 
 
@@ -397,7 +400,7 @@ def _index_instance_attributes(info: ClassInfo) -> None:
                 if text:
                     info.attributes[target.attr] = text
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            callee = _terminal_name(node.value.func)
+            callee = terminal_name(node.value.func)
             if not callee or not callee[:1].isupper():
                 continue  # heuristics: constructor calls are CamelCase
             for target in node.targets:

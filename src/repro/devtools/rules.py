@@ -2,7 +2,7 @@
 
 Each rule inspects one module's :mod:`ast` tree and yields
 :class:`Violation` records.  Rules are registered in :data:`RULES` and
-addressed by a short id (``R1`` … ``R11``) or a descriptive name — both
+addressed by a short id (``R1`` … ``R10``) or a descriptive name — both
 work in ``--select`` and in suppression comments
 (``# lint: ignore[R2]`` / ``# lint: ignore[magic-number]``).
 
@@ -22,15 +22,16 @@ R6     mutable-default       no mutable default argument values
 R7     naked-except          no bare ``except:`` / ``except Exception:``
 R8     ad-hoc-time           timeline sampling and fault bookkeeping only
                              through the :mod:`repro.engine` kernel
-R9     direct-mutation       storage mutators and power-off enablement
-                             only through the :mod:`repro.actions` layer
 R10    cross-array-access    no hardcoded foreign-array component names
                              outside :mod:`repro.fleet`; ownership comes
                              from the router, never from a literal
-R11    tier-mutation         tier placement (promote/demote/archive/
-                             replicate) only through the
-                             :mod:`repro.actions` layer
 =====  ====================  ==============================================
+
+The storage boundary (mutators only through the :mod:`repro.actions`
+executor) is not a line-local rule: it is the whole-program analysis
+check D201 ``storage-boundary``
+(:mod:`repro.devtools.analysis.determinism`), which sees direct calls
+and helper chains alike.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from repro.devtools.analysis.determinism import STORAGE_MUTATORS
+from repro.devtools.analysis.symbols import terminal_name
 from repro.errors import ValidationError
 
 __all__ = [
-    "MUTATOR_METHODS",
     "RULES",
-    "TIER_MUTATOR_METHODS",
     "LintContext",
     "Rule",
     "Violation",
@@ -131,17 +132,6 @@ def _register(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
-def _terminal_name(node: ast.AST) -> str:
-    """Last dotted component of a name-like expression, else ``''``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func)
-    return ""
-
-
 # ---------------------------------------------------------------------------
 # R1: float equality on time/energy expressions
 # ---------------------------------------------------------------------------
@@ -166,7 +156,7 @@ _QUANTITY_FRAGMENTS = (
 
 
 def _is_quantity_expr(node: ast.AST) -> bool:
-    name = _terminal_name(node).lower()
+    name = terminal_name(node).lower()
     return any(fragment in name for fragment in _QUANTITY_FRAGMENTS)
 
 
@@ -198,7 +188,7 @@ class FloatEqualityRule(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"float equality on {_terminal_name(suspect)!r} — "
+                    f"float equality on {terminal_name(suspect)!r} — "
                     "use math.isclose() or an explicit tolerance",
                 )
 
@@ -260,7 +250,7 @@ def _fold_numeric(node: ast.AST) -> float | None:
 
 def _mentions_unit_constant(node: ast.AST) -> bool:
     for sub in ast.walk(node):
-        if _terminal_name(sub) in _UNIT_NAMES:
+        if terminal_name(sub) in _UNIT_NAMES:
             return True
     return False
 
@@ -347,7 +337,7 @@ class ExceptionHierarchyRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
-            name = _terminal_name(node.exc)
+            name = terminal_name(node.exc)
             if name not in _BANNED_RAISES:
                 continue
             hint = _RAISE_REPLACEMENTS.get(name, "a ReproError subclass")
@@ -440,7 +430,7 @@ def _power_state_pair(node: ast.AST) -> tuple[str, str] | None:
     for elt in node.elts:
         if (
             isinstance(elt, ast.Attribute)
-            and _terminal_name(elt.value) == "PowerState"
+            and terminal_name(elt.value) == "PowerState"
         ):
             names.append(elt.attr)
     if len(names) != 2:
@@ -480,7 +470,7 @@ class PowerStateRule(Rule):
                 )
                 mentions_power_state = any(
                     isinstance(sub, ast.Attribute)
-                    and _terminal_name(sub.value) == "PowerState"
+                    and terminal_name(sub.value) == "PowerState"
                     for sub in ast.walk(value)
                 )
                 if writes_state and mentions_power_state:
@@ -547,7 +537,7 @@ class PublicApiRule(Rule):
         args = node.args
         positional = [*args.posonlyargs, *args.args]
         static = any(
-            _terminal_name(dec) == "staticmethod" for dec in node.decorator_list
+            terminal_name(dec) == "staticmethod" for dec in node.decorator_list
         )
         if in_class and not static and positional:
             positional = positional[1:]  # self / cls
@@ -621,7 +611,7 @@ class MutableDefaultRule(Rule):
             return True
         return (
             isinstance(node, ast.Call)
-            and _terminal_name(node.func) in _MUTABLE_CALLS
+            and terminal_name(node.func) in _MUTABLE_CALLS
         )
 
 
@@ -667,7 +657,7 @@ class NakedExceptRule(Rule):
                 else [node.type]
             )
             for exc in types:
-                name = _terminal_name(exc)
+                name = terminal_name(exc)
                 if name in _NAKED_EXCEPTS:
                     yield self.violation(
                         ctx,
@@ -734,7 +724,7 @@ class AdHocTimeRule(Rule):
                 )
             elif (
                 method in _TIMELINE_METHODS
-                and "timeline" in _terminal_name(node.func.value).lower()
+                and "timeline" in terminal_name(node.func.value).lower()
             ):
                 yield self.violation(
                     ctx,
@@ -743,81 +733,6 @@ class AdHocTimeRule(Rule):
                     "samples fire as kernel TimelineSampleEvents; schedule "
                     "them via repro.engine instead",
                 )
-
-
-# ---------------------------------------------------------------------------
-# R9: storage mutation outside the action layer
-# ---------------------------------------------------------------------------
-
-#: The package holding the only legal mutation path: every file under
-#: :mod:`repro.actions` (the executor is the one component allowed to
-#: call controller mutators and enclosure power-off enablement).
-_MUTATION_OWNER_PACKAGE = "repro/actions/"
-
-#: Modules that *define* the mutators: self-calls and internal
-#: bookkeeping there are implementation, not bypass (the controller's
-#: submit path flushes its own write-delay partition; the enclosure
-#: flips its own enablement when the state machine demands it).
-_MUTATION_OWNER_FILES = (
-    "repro/storage/controller.py",
-    "repro/storage/enclosure.py",
-)
-
-#: Mutating entry points of the storage layer: placement, cache
-#: selection, delayed-write flushing, migration charging, and power-off
-#: enablement.  Everything else on the controller is a read.  Shared
-#: with the D201 planner-purity checker in
-#: :mod:`repro.devtools.analysis.determinism`, which closes this rule's
-#: transitive-call hole.
-MUTATOR_METHODS = frozenset(
-    {
-        "migrate_item",
-        "preload_item",
-        "unpin_item",
-        "select_write_delay",
-        "flush_write_delay",
-        "flush_item",
-        "charge_block_migration",
-        "enable_power_off",
-        "disable_power_off",
-    }
-)
-
-
-@_register
-class DirectMutationRule(Rule):
-    """R9: controller/enclosure mutators called outside ``repro.actions``."""
-
-    rule_id = "R9"
-    name = "direct-mutation"
-    summary = (
-        "StorageController mutators and enclosure power-off enablement "
-        "are applied only by the repro.actions executor; direct calls "
-        "bypass the action log, fault gating, and dry-run accounting"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Flag storage-mutator calls outside the action layer."""
-        path = ctx.posix_path
-        if _MUTATION_OWNER_PACKAGE in path:
-            return
-        if any(path.endswith(p) for p in _MUTATION_OWNER_FILES):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or not isinstance(
-                node.func, ast.Attribute
-            ):
-                continue
-            method = node.func.attr
-            if method not in MUTATOR_METHODS:
-                continue
-            yield self.violation(
-                ctx,
-                node,
-                f"direct call to {method}() — storage mutations go "
-                "through an ActionPlan applied by the repro.actions "
-                "executor, which records, gates, and costs them",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +752,7 @@ _FLEET_OWNER_PACKAGE = "repro/fleet/"
 _ARRAY_NAME_PATTERN = re.compile(r"(?:^|/)array-\d+:")
 
 #: Storage entry points whose target a literal array name would bypass
-#: the router for: the R9 mutators plus the virtualization/controller
+#: the router for: the storage mutators plus the virtualization/controller
 #: lookups that resolve component names to state.
 _ARRAY_ACCESS_METHODS = frozenset(
     {
@@ -851,7 +766,7 @@ _ARRAY_ACCESS_METHODS = frozenset(
         "move_item",
         "volume",
     }
-) | MUTATOR_METHODS
+) | STORAGE_MUTATORS
 
 
 @_register
@@ -896,73 +811,6 @@ class CrossArrayAccessRule(Rule):
                     "through the HashRouter instead of baking in "
                     "another array's namespace",
                 )
-
-
-# ---------------------------------------------------------------------------
-# R11: tier placement mutated outside the action layer
-# ---------------------------------------------------------------------------
-
-#: Modules that *define* the tier mutators: the controller implements
-#: the moves (and the replicate path calls the virtualization's replica
-#: bookkeeping on itself), so self-calls there are implementation, not
-#: bypass.
-_TIER_MUTATION_OWNER_FILES = (
-    "repro/storage/controller.py",
-    "repro/storage/virtualization.py",
-)
-
-#: Tier-placement mutators: inter-tier item moves on the controller and
-#: the replica bookkeeping on the virtualization layer.  Disjoint from
-#: :data:`MUTATOR_METHODS` so every lint fixture trips exactly one rule;
-#: a call site can violate R9 *or* R11, never both for the same method.
-TIER_MUTATOR_METHODS = frozenset(
-    {
-        "promote_item",
-        "demote_item",
-        "archive_item",
-        "replicate_item",
-        "add_replica",
-        "remove_replica",
-    }
-)
-
-
-@_register
-class TierMutationRule(Rule):
-    """R11: tier-placement mutators called outside ``repro.actions``."""
-
-    rule_id = "R11"
-    name = "tier-mutation"
-    summary = (
-        "inter-tier moves (promote/demote/archive/replicate) and replica "
-        "bookkeeping are applied only by the repro.actions executor; "
-        "direct calls bypass the action log, the per-tier ledger, and "
-        "the auditor's conservation checks"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Violation]:
-        """Flag tier-mutator calls outside the action layer."""
-        path = ctx.posix_path
-        if _MUTATION_OWNER_PACKAGE in path:
-            return
-        if any(path.endswith(p) for p in _TIER_MUTATION_OWNER_FILES):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or not isinstance(
-                node.func, ast.Attribute
-            ):
-                continue
-            method = node.func.attr
-            if method not in TIER_MUTATOR_METHODS:
-                continue
-            yield self.violation(
-                ctx,
-                node,
-                f"direct call to {method}() — tier placement changes go "
-                "through a PromoteItem/DemoteItem/ArchiveItem/"
-                "ReplicateItem plan applied by the repro.actions "
-                "executor, which records, gates, and costs them",
-            )
 
 
 def resolve_rules(selectors: Iterable[str] | None = None) -> list[Rule]:

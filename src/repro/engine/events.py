@@ -29,6 +29,7 @@ routes back into the kernel, which owns all semantics.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ValidationError
@@ -82,9 +83,10 @@ class Event:
     priority: ClassVar[int] = TRACE_RECORD
 
     def __init__(self, time: float) -> None:
-        if time < 0.0:
+        if not 0.0 <= time < math.inf:  # also refuses nan
             raise ValidationError(
-                f"events cannot be scheduled before t=0, got {time!r}"
+                "events need a finite virtual time at or after t=0, "
+                f"got {time!r}"
             )
         self.time = time
         self.cancelled = False

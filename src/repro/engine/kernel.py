@@ -42,6 +42,7 @@ policy, with and without faults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -427,16 +428,19 @@ class SimulationKernel:
         returns it.  This is the incremental pump for online operation;
         it performs no end-of-run settlement.
 
-        Raises :class:`~repro.errors.UsageError` for a ``time`` behind
-        the current clock (virtual time never rewinds — clamping would
-        silently skip the events between ``time`` and now) and for any
-        pump attempt after the run has finished.
+        Raises :class:`~repro.errors.UsageError` for a non-finite
+        ``time`` (``inf`` would pump recurring checkpoints forever), for
+        a ``time`` behind the current clock (virtual time never rewinds
+        — clamping would silently skip the events between ``time`` and
+        now), and for any pump attempt after the run has finished.
         """
         if self._finished:
             raise UsageError(
                 "cannot pump a finished kernel: the run has settled; "
                 "build a fresh kernel for a new window"
             )
+        if not math.isfinite(time):
+            raise UsageError(f"run_until({time}) needs a finite virtual time")
         if time < self.clock.now:
             raise UsageError(
                 f"run_until({time}) is in the past: the clock is at "

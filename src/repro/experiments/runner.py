@@ -23,7 +23,11 @@ from repro.config import DEFAULT_CONFIG, EcoStorConfig
 from repro.core.manager import EnergyEfficientPolicy
 from repro.faults.plan import FaultPlan
 from repro.monitoring.tiers import TierBooks, TierReport
-from repro.simulation import build_context, build_tiered_context
+from repro.simulation import (
+    SimulationContext,
+    build_context,
+    build_tiered_context,
+)
 from repro.trace.replay import ReplayResult, TraceReplayer
 from repro.workloads.items import Workload
 
@@ -134,6 +138,17 @@ def run_cell(
     context = build_context(
         config, workload.enclosure_count, faults=faults, array_id=array_id
     )
+    return _replay_cell(context, workload, policy, config, audit)
+
+
+def _replay_cell(
+    context: SimulationContext,
+    workload: Workload,
+    policy: PowerPolicy,
+    config: EcoStorConfig,
+    audit: bool,
+) -> ExperimentResult:
+    """Install, replay and measure one cell on a freshly built testbed."""
     workload.install(context)
     auditor = None
     if audit:
@@ -194,7 +209,7 @@ def run_tiered_cell(
 ) -> TieredCellResult:
     """Replay one workload under a tier-aware policy on a tiered testbed.
 
-    Mirrors :func:`run_cell` but builds the multi-tier Fig 5 variant
+    Replays like :func:`run_cell` but on the multi-tier Fig 5 variant
     (:func:`repro.simulation.build_tiered_context`): the workload's
     enclosures become the HDD tier and ``flash_count``/``archive_count``
     extra devices form the flash and archive tiers (either may be 0).
@@ -211,33 +226,8 @@ def run_tiered_cell(
         faults=faults,
         array_id=array_id,
     )
-    workload.install(context)
-    auditor = None
-    if audit:
-        from repro.devtools.audit import InvariantAuditor
-
-        auditor = InvariantAuditor(context)
-    replayer = TraceReplayer(context, policy, auditor=auditor)
-    replay = replayer.run(workload.columnar(), duration=workload.duration)
-    curve = interval_curve(
-        context.storage_monitor.all_intervals(), config.break_even_time
-    )
-    windows = (
-        window_read_responses(context.app_monitor.response_samples, workload.phases)
-        if workload.phases
-        else []
-    )
+    result = _replay_cell(context, workload, policy, config, audit)
     books = TierBooks(context.virtualization, context.controller)
-    result = ExperimentResult(
-        workload_name=workload.name,
-        policy_name=policy.name,
-        replay=replay,
-        interval_curve=curve,
-        window_responses=windows,
-        enclosure_watts=replay.power.enclosure_watts,
-        controller_watts=replay.power.controller_watts,
-        audit_checks=auditor.checks_run if auditor is not None else 0,
-    )
     return TieredCellResult(result=result, tier_reports=tuple(books.report()))
 
 

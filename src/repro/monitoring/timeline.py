@@ -19,6 +19,7 @@ calls).  Boundaries after the last policy checkpoint are settled by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -42,8 +43,11 @@ class PowerTimeline:
     def __init__(
         self, enclosures: list[DiskEnclosure], interval_seconds: Seconds = 60.0
     ) -> None:
-        if interval_seconds <= 0:
-            raise ValidationError("interval_seconds must be positive")
+        if not 0.0 < interval_seconds < math.inf:  # also refuses nan
+            raise ValidationError(
+                f"interval_seconds must be finite and positive, got "
+                f"{interval_seconds!r}"
+            )
         if not enclosures:
             raise ValidationError("at least one enclosure is required")
         self.enclosures = list(enclosures)

@@ -18,8 +18,10 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "analysis"
 FIXTURE_CHECKS = [
     ("d1_dimensions.py", ["D101", "D102", "D103", "D104"]),
     ("d2_determinism.py", ["D202", "D203", "D204", "D204"]),
-    ("d2_purity", ["D201"]),
+    ("d2_purity", ["D201", "D201"]),
     ("d205_snapshots.py", ["D205", "D205"]),
+    ("d201_direct.py", ["D201"] * 15),
+    ("d201_tiers", ["D201", "D201"]),
 ]
 
 
@@ -56,7 +58,7 @@ def test_src_tree_analyzes_clean_with_committed_baseline() -> None:
 def test_main_exit_codes(capsys: pytest.CaptureFixture) -> None:
     assert main([str(FIXTURES / "d2_purity"), "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "D201[planner-purity]" in out
+    assert "D201[storage-boundary]" in out
     assert main([str(FIXTURES / "d2_purity"), "--select", "D203"]) == 0
     assert main(["--list-checks"]) == 0
     assert "D101" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for D2 — planner purity (D201) and determinism (D202–D204)."""
+"""Tests for D2 — storage boundary (D201) and determinism (D202–D204)."""
 
 from __future__ import annotations
 
@@ -16,16 +16,102 @@ def _findings(paths: list[Path], select: list[str]) -> list:
 
 
 # ----------------------------------------------------------------------
-# D201 — planner purity
+# D201 — storage boundary
 # ----------------------------------------------------------------------
+#: The placement, write-delay and power mutators, in the order
+#: d201_direct.py calls them (its lines 12-20).
+DIRECT_MUTATORS = [
+    "migrate_item",
+    "preload_item",
+    "unpin_item",
+    "select_write_delay",
+    "flush_write_delay",
+    "flush_item",
+    "charge_block_migration",
+    "enable_power_off",
+    "disable_power_off",
+]
+
+#: The inter-tier and replica mutators, called after them (lines 21-26).
+TIER_MUTATORS = [
+    "promote_item",
+    "demote_item",
+    "archive_item",
+    "replicate_item",
+    "add_replica",
+    "remove_replica",
+]
+
+
 def test_d201_flags_transitive_mutation_with_chain() -> None:
     findings = _findings([FIXTURES / "d2_purity"], ["D201"])
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.check_id == "D201"
+    assert [f.check_id for f in findings] == ["D201", "D201"]
+    direct, finding = findings
+    # The helper's own call is a direct-call finding at the call site...
+    assert direct.context == "d2_purity.helpers.drain_everything"
+    assert "direct call to flush_write_delay()" in direct.message
+    # ...and the policy that reaches it is reported with its chain.
     assert finding.context == "d2_purity.policy.LeakyPolicy.on_checkpoint"
     assert "flush_write_delay" in finding.message
     assert "on_checkpoint -> _tidy -> drain_everything" in finding.message
+
+
+def _direct_call_names(findings: list) -> list[str]:
+    return [f.message.split("()", 1)[0] for f in findings]
+
+
+def test_d201_flags_every_direct_mutator_call() -> None:
+    from repro.devtools.analysis.determinism import STORAGE_MUTATORS
+
+    assert STORAGE_MUTATORS == frozenset(DIRECT_MUTATORS + TIER_MUTATORS)
+    findings = _findings([FIXTURES / "d201_direct.py"], ["D201"])
+    assert [f.line for f in findings] == list(range(12, 27))
+    assert _direct_call_names(findings[: len(DIRECT_MUTATORS)]) == [
+        f"direct call to {name}" for name in DIRECT_MUTATORS
+    ]
+    assert all(f.context == "" for f in findings)  # module level
+
+
+def test_d201_flags_every_tier_mutator_call() -> None:
+    findings = _findings([FIXTURES / "d201_direct.py"], ["D201"])
+    tier = findings[len(DIRECT_MUTATORS) :]
+    assert [f.line for f in tier] == list(range(21, 27))
+    assert _direct_call_names(tier) == [
+        f"direct call to {name}" for name in TIER_MUTATORS
+    ]
+    assert all(f.context == "" for f in tier)  # module level
+
+
+def test_d201_flags_tier_mutation_through_controller_helper() -> None:
+    """The controller is exempt from the direct part, not from the walk."""
+    findings = _findings([FIXTURES / "d201_tiers"], ["D201"])
+    assert {f.context for f in findings} == {
+        "repro.policy.RebalancingPolicy.on_checkpoint"
+    }
+    chains = sorted(f.message.rsplit("call chain: ", 1)[1] for f in findings)
+    assert chains == [
+        "on_checkpoint -> _rebalance -> flush_write_delay())",
+        "on_checkpoint -> _rebalance -> promote_item())",
+    ]
+
+
+def test_d201_exempts_only_actions_and_controller(tmp_path: Path) -> None:
+    for module in (
+        "actions/executor.py",
+        "storage/controller.py",
+        "storage/enclosure.py",
+        "storage/virtualization.py",
+    ):
+        path = tmp_path / "repro" / module
+        path.parent.mkdir(parents=True, exist_ok=True)
+        (path.parent / "__init__.py").touch()
+        path.write_text("controller.flush_write_delay(0.0)\n")
+    (tmp_path / "repro" / "__init__.py").touch()
+    findings = _findings([tmp_path / "repro"], ["D201"])
+    assert sorted(Path(f.path).name for f in findings) == [
+        "enclosure.py",
+        "virtualization.py",
+    ]
 
 
 def test_d201_executor_gateway_is_sanctioned() -> None:

@@ -145,6 +145,20 @@ class TestOnlineMode:
         assert policy.checkpoints == [60.0, 120.0, 180.0]
         assert policy.io_seen == [5.0, 130.0]
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_run_until_non_finite_time_raises_usage_error(self, horizon):
+        context = make_context()
+        policy = PeriodicPolicy(period=60.0)
+        policy.bind(context)
+        kernel = SimulationKernel(context, policy)
+        policy.on_start(0.0)
+        kernel._sync_checkpoint()
+        with pytest.raises(UsageError, match="finite"):
+            kernel.run_until(horizon)
+        # Refused before dispatch: no checkpoint fired, the clock is put.
+        assert policy.checkpoints == []
+        assert kernel.clock.now == 0.0
+
     def test_posting_into_the_past_raises_on_pump(self):
         context = make_context()
         policy = NoPowerSavingPolicy()

@@ -101,6 +101,11 @@ class TestEventValidation:
         with pytest.raises(ValidationError):
             TimelineSampleEvent(-1.0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ValidationError, match="finite"):
+            TimelineSampleEvent(time)
+
     def test_base_event_fire_is_abstract(self):
         queue = EventQueue()
         event = queue.push(Event(1.0))

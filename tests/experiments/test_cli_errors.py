@@ -62,6 +62,17 @@ class TestDomainErrorsExitTwo:
         assert err.startswith("ecostor: error: trace does not fit the array")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0"])
+    def test_non_finite_timeline_interval_rejected(self, capsys, interval):
+        status = main(
+            ["power-timeline", "tpcc", "pdc", "--interval", interval]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ecostor: error: ")
+        assert "finite and positive" in err
+        assert err.count("\n") == 1
+
     def test_audit_error_maps_to_exit_two(self, capsys, monkeypatch):
         def fail(args):
             raise AuditError("invariant violated at t=120.0\n  - detail")
